@@ -18,16 +18,20 @@
 #                      per runtime) is documented in EXPERIMENTS.md
 #                      §Verification.
 #   ./ci.sh --bench  — additionally runs the minos-bench quick sweep,
-#                      writes BENCH_results.json, and reruns the sweep
-#                      with --compare against the file it just wrote.
-#                      Both bench runtimes are deterministic, so the
-#                      self-compare must report zero regressions — this
-#                      gates the sweep, the JSON writer/parser, and the
-#                      compare logic in one pass. The sweep includes the
-#                      simspeed/* simulator-speed cells (checked present
-#                      below), and a final `--par-gate` run insists the
-#                      parallel per-shard-group DES mode is bit-identical
-#                      to the sequential one.
+#                      writes BENCH_results.json, and compares it against
+#                      the committed BENCH_baseline.json. Both bench
+#                      runtimes are deterministic, so every cell must be
+#                      byte-identical to the baseline — throughput, every
+#                      latency percentile, every gauge — once the three
+#                      host-dependent wall-clock gauges (wall_ms,
+#                      events_per_sec, ops_per_sec_wall) are dropped. A
+#                      change that moves a cell on purpose regenerates
+#                      the baseline in the same commit (the sed below is
+#                      the recipe). The sweep includes the simspeed/*
+#                      simulator-speed cells (checked present below), and
+#                      a final `--par-gate` run insists the parallel
+#                      per-shard-group DES mode is bit-identical to the
+#                      sequential one.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -56,6 +60,13 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
 echo "==> tier-1 verify: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q
+
+echo "==> benchmark/: build against the bound surface (--locked)"
+# benchmark/ is a workspace of its own that path-depends on crates/*; an
+# API break there must fail here, not in the perf pipeline, and --locked
+# turns an accidental dependency-graph change into an error instead of a
+# silent benchmark/Cargo.lock rewrite.
+cargo build --release --offline --locked --manifest-path benchmark/Cargo.toml
 
 echo "==> trace assembly: 3-process TCP cluster -> skew-corrected causal timelines"
 # Spawn a real multi-process cluster (one clock epoch per process), push
@@ -149,17 +160,23 @@ if [ "$BENCH" -eq 1 ]; then
     cargo build --release -p minos-bench
     BENCH_BIN=target/release/minos-bench
 
-    echo "==> bench: quick sweep -> BENCH_results.json"
-    "$BENCH_BIN" --quick --out BENCH_results.json
+    echo "==> bench: quick sweep -> BENCH_results.json, no regression against BENCH_baseline.json"
+    "$BENCH_BIN" --quick --out BENCH_results.json --compare BENCH_baseline.json --threshold 0%
 
-    echo "==> bench: self-compare (deterministic rerun must show 0 regressions)"
-    "$BENCH_BIN" --quick --out target/bench_rerun.json --compare BENCH_results.json --threshold 5%
+    echo "==> bench: every cell byte-identical to the committed baseline"
+    # One cell per line in both files, so the diff names the cells that
+    # moved. Only the wall-clock gauges are host-dependent.
+    strip_wall_clock() {
+        sed -E 's/,"(events_per_sec|ops_per_sec_wall|wall_ms)":[0-9]+//g' "$1"
+    }
+    if ! diff BENCH_baseline.json <(strip_wall_clock BENCH_results.json); then
+        echo "bench cells differ from BENCH_baseline.json (< committed, > this tree)" >&2
+        exit 1
+    fi
 
-    echo "==> bench: sim-speed cells self-compare (virtual-time metrics must be deterministic)"
-    # The simspeed/* cells ride the quick sweep, so the rerun above
-    # already re-measured them; here we insist they exist and that their
-    # deterministic metrics survived the --compare gate (wall-clock
-    # figures live in gauges, which compare ignores by design).
+    echo "==> bench: sim-speed cells present"
+    # The simspeed/* cells ride the quick sweep and the exact compare
+    # above (their wall-clock figures are the gauges it drops).
     CELLS=$(grep -c '"id":"simspeed/' BENCH_results.json || true)
     if [ "$CELLS" -lt 4 ]; then
         echo "expected >=4 simspeed/* cells in BENCH_results.json, found $CELLS" >&2

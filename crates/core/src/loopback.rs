@@ -1,28 +1,31 @@
 //! A deterministic, single-process loopback harness for the protocol
 //! engines.
 //!
-//! [`BCluster`] drives [`NodeEngine`]s (MINOS-B) and [`OCluster`] drives
-//! [`ONodeEngine`]s (MINOS-O) with a FIFO event queue and immediate
-//! action execution. No timing is modeled — this harness answers "does
-//! the protocol converge and what does it decide", which is what the unit
-//! tests, the KV layer, and the examples need. For timing, use the
-//! simulator in `minos-net`; for exhaustive interleavings, `minos-mc`.
+//! [`Loopback`] drives the engines of one [`Protocol`] — [`BCluster`] is
+//! `Loopback<Baseline>` over [`NodeEngine`](crate::NodeEngine)s,
+//! [`OCluster`] is `Loopback<Offload>` over
+//! [`ONodeEngine`](crate::ONodeEngine)s — with a FIFO event queue
+//! and immediate action execution. No timing is modeled — this harness
+//! answers "does the protocol converge and what does it decide", which is
+//! what the unit tests, the KV layer, and the examples need. For timing,
+//! use the simulator in `minos-net`; for exhaustive interleavings,
+//! `minos-mc`.
 //!
-//! Action interpretation is the [`runtime`](crate::runtime) dispatchers':
-//! this harness only supplies [`Transport`]/[`ActionSink`] handlers that
-//! feed the in-process event queue, so its operational semantics are the
-//! same code every other harness runs.
+//! Action interpretation is the [`runtime`](crate::runtime)
+//! interpreter's: this harness only supplies the [`Transport`] plus
+//! [`ActionSink`]/[`OSink`] handler that feeds the in-process event
+//! queue, so its operational semantics are the same code every other
+//! harness runs. Everything else — queue, routing, barriers, telemetry,
+//! crash/rejoin — is written once for both protocols.
 //!
-//! Persist completions can be held back (`auto_persist = false`) to test
-//! the persistency gates of each model.
+//! On a MINOS-B cluster persist completions can be held back
+//! (`auto_persist = false`) to test the persistency gates of each model.
 
-use crate::baseline::NodeEngine;
 use crate::event::{DelayClass, Event, ReqId};
 use crate::obs::{GaugeKind, GaugeSet, SharedSink, TraceClock, Tracer, GAUGE_NODE_ALL};
-use crate::offload::{OEvent, ONodeEngine, PcieMsg, Side};
+use crate::offload::{OEvent, PcieMsg, Side};
 use crate::runtime::{
-    ActionSink, DispatchStats, Dispatcher, ODispatchStats, ODispatcher, OSink, ShardRouter,
-    Transport,
+    ActionSink, Baseline, Engine, Interpreter, OSink, Offload, Protocol, ShardRouter, Transport,
 };
 use minos_types::wire::TraceCtx;
 use minos_types::{DdpModel, Key, MembershipView, NodeId, ScopeId, ShardMap, Ts, Value};
@@ -106,8 +109,13 @@ impl ParentOp {
         }
     }
 }
+/// A queued delivery: destination, event, and the trace context of the
+/// dispatch that caused the event (`None` for client submissions —
+/// admission mints the trace).
+type Queued<P> = (NodeId, <P as Protocol>::Event, Option<TraceCtx>);
 
-/// Loopback driver for a cluster of MINOS-B engines.
+/// Loopback driver for a cluster of one protocol's engines. Use it
+/// through [`BCluster`] or [`OCluster`].
 ///
 /// # Example
 ///
@@ -125,15 +133,13 @@ impl ParentOp {
 /// }
 /// ```
 #[derive(Debug, Clone)]
-pub struct BCluster {
-    engines: Vec<NodeEngine>,
-    dispatchers: Vec<Dispatcher>,
-    /// Queued deliveries: destination, event, and the trace context of
-    /// the dispatch that caused the event (`None` for client submissions
-    /// — admission mints the trace).
-    queue: VecDeque<(NodeId, Event, Option<TraceCtx>)>,
-    /// When false, persist completions are parked in `held_persists` until
-    /// [`BCluster::release_persists`] is called.
+pub struct Loopback<P: Protocol> {
+    engines: Vec<P::Engine>,
+    dispatchers: Vec<Interpreter<P>>,
+    queue: VecDeque<Queued<P>>,
+    /// MINOS-B only (MINOS-O has no persist action — its durability is
+    /// the dFIFO drain): when false, persist completions are parked
+    /// until [`BCluster::release_persists`] is called.
     pub auto_persist: bool,
     held_persists: Vec<(NodeId, Key, Ts, Option<TraceCtx>)>,
     completions: Vec<Completion>,
@@ -144,19 +150,27 @@ pub struct BCluster {
     gauges: GaugeSet,
     steps: u64,
     /// Key → shard-group routing and multi-op barriers; the identity
-    /// router when the cluster is unsharded.
+    /// router when the cluster is unsharded. MINOS-O engines have no
+    /// redirect path, so on a sharded cluster this facade routing is
+    /// what keeps every submit on a replica.
     router: ShardRouter,
     /// Barrier parents awaiting their last child.
     parents: BTreeMap<ReqId, ParentOp>,
-    /// Submitted-minus-completed keyed ops per shard (sharded only).
-    inflight_by_shard: BTreeMap<u32, u64>,
     /// Epoch/lease membership view, advanced by
-    /// [`BCluster::crash_node`]/[`BCluster::rejoin_node`]. The loopback
+    /// [`Loopback::crash_node`]/[`Loopback::rejoin_node`]. The loopback
     /// harness has no clock, so the dispatch-step counter stands in for
     /// nanoseconds and leases are granted generously — lease *expiry* is
     /// the timed runtimes' concern; loopback exercises the view changes.
     view: MembershipView,
 }
+
+/// Loopback driver for a cluster of MINOS-B engines.
+pub type BCluster = Loopback<Baseline>;
+
+/// Loopback driver for a cluster of MINOS-O engines (host + SmartNIC per
+/// node). PCIe descriptors and FIFO drains are delivered through the same
+/// FIFO queue; functional behavior matches the simulator's, minus timing.
+pub type OCluster = Loopback<Offload>;
 
 /// Dispatch steps between telemetry samples on the loopback clusters.
 /// The loopback harness has no clock, so the sequence counter paces the
@@ -179,30 +193,59 @@ fn xorshift(state: &mut u64) -> u64 {
     x
 }
 
-/// The loopback handler for MINOS-B: every action effect is a push onto
-/// the shared in-process queue (or the completion/held-persist lists).
-struct BLoopHandler<'a> {
+/// The loopback handler: every action effect is a push onto the shared
+/// in-process queue (or the completion/held-persist lists).
+struct LoopHandler<'a, P: Protocol> {
     node: NodeId,
     auto_persist: bool,
     /// The dispatching node's trace context, stamped onto every event
     /// this dispatch causes so the trace follows messages, deferrals,
     /// redirects, and persist completions across the queue.
     ctx: Option<TraceCtx>,
-    queue: &'a mut VecDeque<(NodeId, Event, Option<TraceCtx>)>,
+    queue: &'a mut VecDeque<Queued<P>>,
     held_persists: &'a mut Vec<(NodeId, Key, Ts, Option<TraceCtx>)>,
     completions: &'a mut Vec<Completion>,
 }
 
-impl Transport for BLoopHandler<'_> {
+impl<P: Protocol> LoopHandler<'_, P> {
+    /// Queues `event` for this node under the dispatch's trace context.
+    fn requeue(&mut self, event: P::Event) {
+        self.queue.push_back((self.node, event, self.ctx));
+    }
+
+    fn complete_write(&mut self, req: ReqId, key: Key, ts: Ts, obsolete: bool) {
+        self.completions.push(Completion::Write {
+            node: self.node,
+            req,
+            key,
+            ts,
+            obsolete,
+        });
+    }
+
+    fn complete_read(&mut self, req: ReqId, key: Key, value: Value, ts: Ts) {
+        self.completions.push(Completion::Read {
+            node: self.node,
+            req,
+            key,
+            value,
+            ts,
+        });
+    }
+
+    fn complete_scope(&mut self, req: ReqId, scope: ScopeId) {
+        self.completions.push(Completion::PersistScope {
+            node: self.node,
+            req,
+            scope,
+        });
+    }
+}
+
+impl<P: Protocol> Transport for LoopHandler<'_, P> {
     fn send(&mut self, to: NodeId, msg: minos_types::Message) {
-        self.queue.push_back((
-            to,
-            Event::Message {
-                from: self.node,
-                msg,
-            },
-            self.ctx,
-        ));
+        self.queue
+            .push_back((to, P::net_message(self.node, msg), self.ctx));
     }
 
     fn set_ctx(&mut self, ctx: Option<TraceCtx>) {
@@ -210,11 +253,10 @@ impl Transport for BLoopHandler<'_> {
     }
 }
 
-impl ActionSink for BLoopHandler<'_> {
+impl ActionSink for LoopHandler<'_, Baseline> {
     fn persist(&mut self, key: Key, ts: Ts, _value: Value, _background: bool) {
         if self.auto_persist {
-            self.queue
-                .push_back((self.node, Event::PersistDone { key, ts }, self.ctx));
+            self.requeue(Event::PersistDone { key, ts });
         } else {
             self.held_persists.push((self.node, key, ts, self.ctx));
         }
@@ -225,47 +267,106 @@ impl ActionSink for BLoopHandler<'_> {
     }
 
     fn defer(&mut self, event: Event, _class: DelayClass) {
-        self.queue.push_back((self.node, event, self.ctx));
+        self.requeue(event);
     }
 
     fn write_done(&mut self, req: ReqId, key: Key, ts: Ts, obsolete: bool) {
-        self.completions.push(Completion::Write {
-            node: self.node,
-            req,
-            key,
-            ts,
-            obsolete,
-        });
+        self.complete_write(req, key, ts, obsolete);
     }
 
     fn read_done(&mut self, req: ReqId, key: Key, value: Value, ts: Ts) {
-        self.completions.push(Completion::Read {
-            node: self.node,
-            req,
-            key,
-            value,
-            ts,
-        });
+        self.complete_read(req, key, value, ts);
     }
 
     fn persist_scope_done(&mut self, req: ReqId, scope: ScopeId) {
-        self.completions.push(Completion::PersistScope {
-            node: self.node,
-            req,
-            scope,
-        });
+        self.complete_scope(req, scope);
     }
 }
 
-impl BCluster {
+/// PCIe descriptors and FIFO drains feed back into the same queue
+/// immediately.
+impl OSink for LoopHandler<'_, Offload> {
+    fn pcie(&mut self, from: Side, msg: PcieMsg) {
+        self.requeue(match from {
+            Side::Host => OEvent::PcieFromHost(msg),
+            Side::Snic => OEvent::PcieFromSnic(msg),
+        });
+    }
+
+    fn vfifo_enqueue(&mut self, key: Key, ts: Ts, _bytes: u64) {
+        self.requeue(OEvent::VfifoDrained { key, ts });
+    }
+
+    fn dfifo_enqueue(&mut self, key: Key, ts: Ts, _bytes: u64) {
+        self.requeue(OEvent::DfifoDrained { key, ts });
+    }
+
+    fn defer(&mut self, event: OEvent) {
+        self.requeue(event);
+    }
+
+    fn write_done(&mut self, req: ReqId, key: Key, ts: Ts, obsolete: bool) {
+        self.complete_write(req, key, ts, obsolete);
+    }
+
+    fn read_done(&mut self, req: ReqId, key: Key, value: Value, ts: Ts) {
+        self.complete_read(req, key, value, ts);
+    }
+
+    fn persist_scope_done(&mut self, req: ReqId, scope: ScopeId) {
+        self.complete_scope(req, scope);
+    }
+}
+
+/// A [`Protocol`] the loopback frame can drive: the two places where
+/// [`Loopback`] must know which sink its handler implements.
+pub trait LoopProtocol: Protocol {
+    /// Dispatches `event` at `node` through the loopback handler.
+    #[doc(hidden)]
+    fn dispatch(cl: &mut Loopback<Self>, node: NodeId, event: Self::Event, ctx: Option<TraceCtx>);
+
+    /// Drains the unblock actions a view change releases. MINOS-B
+    /// engines re-evaluate their in-flight transactions now (the timed
+    /// runtimes do this on their next timer tick); MINOS-O view changes
+    /// are quiesced, so there is nothing to release.
+    #[doc(hidden)]
+    fn poke(_cl: &mut Loopback<Self>) {}
+}
+
+impl LoopProtocol for Baseline {
+    fn dispatch(cl: &mut BCluster, node: NodeId, event: Event, ctx: Option<TraceCtx>) {
+        let (d, e, mut h) = cl.parts(node);
+        d.dispatch_ctx(e, event, ctx, &mut h);
+    }
+
+    fn poke(cl: &mut BCluster) {
+        let pre = cl.completions.len();
+        for i in 0..cl.engines.len() {
+            let (d, e, mut h) = cl.parts(NodeId(i as u16));
+            let mut out = Vec::new();
+            e.poll_now(&mut out);
+            d.run_actions(e, out, &mut h);
+        }
+        cl.absorb_completions(pre);
+    }
+}
+
+impl LoopProtocol for Offload {
+    fn dispatch(cl: &mut OCluster, node: NodeId, event: OEvent, ctx: Option<TraceCtx>) {
+        let (d, e, mut h) = cl.parts(node);
+        d.dispatch_ctx(e, event, ctx, &mut h);
+    }
+}
+
+impl<P: LoopProtocol> Loopback<P> {
     /// Builds an `n`-node cluster running `model`.
     #[must_use]
     pub fn new(n: usize, model: DdpModel) -> Self {
-        BCluster {
+        Loopback {
             engines: (0..n)
-                .map(|i| NodeEngine::new(NodeId(i as u16), n, model))
+                .map(|i| P::engine(NodeId(i as u16), n, model))
                 .collect(),
-            dispatchers: vec![Dispatcher::new(); n],
+            dispatchers: vec![Interpreter::new(); n],
             queue: VecDeque::new(),
             auto_persist: true,
             held_persists: Vec::new(),
@@ -276,7 +377,6 @@ impl BCluster {
             steps: 0,
             router: ShardRouter::new(None),
             parents: BTreeMap::new(),
-            inflight_by_shard: BTreeMap::new(),
             view: MembershipView::new(n, LOOPBACK_LEASE, 0),
         }
     }
@@ -286,7 +386,7 @@ impl BCluster {
     /// [`ShardRouter`] to a replica of their key's shard.
     #[must_use]
     pub fn with_placement(map: ShardMap, model: DdpModel) -> Self {
-        let mut cl = BCluster::new(map.n_nodes(), model);
+        let mut cl = Self::new(map.n_nodes(), model);
         for e in &mut cl.engines {
             e.set_placement(Some(map.clone()));
         }
@@ -329,12 +429,12 @@ impl BCluster {
     ///
     /// Panics if `node` is not in the cluster.
     #[must_use]
-    pub fn engine(&self, node: NodeId) -> &NodeEngine {
+    pub fn engine(&self, node: NodeId) -> &P::Engine {
         &self.engines[node.0 as usize]
     }
 
     /// Mutable access to a node's engine (e.g. to pre-load records).
-    pub fn engine_mut(&mut self, node: NodeId) -> &mut NodeEngine {
+    pub fn engine_mut(&mut self, node: NodeId) -> &mut P::Engine {
         &mut self.engines[node.0 as usize]
     }
 
@@ -344,16 +444,16 @@ impl BCluster {
     ///
     /// Panics if `node` is not in the cluster.
     #[must_use]
-    pub fn dispatch_stats(&self, node: NodeId) -> &DispatchStats {
+    pub fn dispatch_stats(&self, node: NodeId) -> &P::Stats {
         self.dispatchers[node.0 as usize].stats()
     }
 
     /// Cluster-wide dispatch counters (all nodes merged).
     #[must_use]
-    pub fn dispatch_stats_total(&self) -> DispatchStats {
-        let mut total = DispatchStats::default();
+    pub fn dispatch_stats_total(&self) -> P::Stats {
+        let mut total = P::Stats::default();
         for d in &self.dispatchers {
-            total.merge(d.stats());
+            P::merge_stats(&mut total, d.stats());
         }
         total
     }
@@ -380,11 +480,11 @@ impl BCluster {
         r
     }
 
-    fn note_submitted(&mut self, key: Key) {
-        if let Some(map) = self.router.map() {
-            let shard = map.shard_of(key).0;
-            *self.inflight_by_shard.entry(shard).or_insert(0) += 1;
-        }
+    /// Queues a keyed client op at `at`, counting it in its shard's
+    /// in-flight gauge.
+    fn enqueue(&mut self, at: NodeId, key: Key, event: P::Event) {
+        self.router.note_submitted(key);
+        self.queue.push_back((at, event, None));
     }
 
     /// Submits a client write at `node`; returns its request id. On a
@@ -399,17 +499,7 @@ impl BCluster {
     ) -> ReqId {
         let req = self.fresh_req();
         let coord = self.router.route_write(node, key, scope);
-        self.note_submitted(key);
-        self.queue.push_back((
-            coord,
-            Event::ClientWrite {
-                key,
-                value,
-                scope,
-                req,
-            },
-            None,
-        ));
+        self.enqueue(coord, key, P::client_write(key, value, scope, req));
         req
     }
 
@@ -417,9 +507,7 @@ impl BCluster {
     pub fn submit_read(&mut self, node: NodeId, key: Key) -> ReqId {
         let req = self.fresh_req();
         let serving = self.router.serving(node, key);
-        self.note_submitted(key);
-        self.queue
-            .push_back((serving, Event::ClientRead { key, req }, None));
+        self.enqueue(serving, key, P::client_read(key, req));
         req
     }
 
@@ -450,17 +538,7 @@ impl BCluster {
         );
         for ((key, value), child) in writes.into_iter().zip(children) {
             let coord = self.router.route_write(node, key, scope);
-            self.note_submitted(key);
-            self.queue.push_back((
-                coord,
-                Event::ClientWrite {
-                    key,
-                    value,
-                    scope,
-                    req: child,
-                },
-                None,
-            ));
+            self.enqueue(coord, key, P::client_write(key, value, scope, child));
         }
         req
     }
@@ -476,22 +554,29 @@ impl BCluster {
             self.router.begin_barrier(req, &children);
             self.parents.insert(req, ParentOp::Scope { node, scope });
             for (coord, child) in coords.into_iter().zip(children) {
-                self.queue.push_back((
-                    coord,
-                    Event::ClientPersistScope { scope, req: child },
-                    None,
-                ));
+                self.queue
+                    .push_back((coord, P::client_persist_scope(scope, child), None));
             }
         } else {
             self.queue
-                .push_back((node, Event::ClientPersistScope { scope, req }, None));
+                .push_back((node, P::client_persist_scope(scope, req), None));
         }
         req
     }
 
-    /// Injects a raw event (tests use this for out-of-order deliveries).
-    pub fn inject(&mut self, node: NodeId, event: Event) {
-        self.queue.push_back((node, event, None));
+    /// `node`'s interpreter and engine plus a handler over the shared
+    /// queue and completion lists — one dispatch's worth of borrows.
+    fn parts(&mut self, node: NodeId) -> (&mut Interpreter<P>, &mut P::Engine, LoopHandler<'_, P>) {
+        let ni = node.0 as usize;
+        let handler = LoopHandler {
+            node,
+            auto_persist: self.auto_persist,
+            ctx: None,
+            queue: &mut self.queue,
+            held_persists: &mut self.held_persists,
+            completions: &mut self.completions,
+        };
+        (&mut self.dispatchers[ni], &mut self.engines[ni], handler)
     }
 
     /// Processes one queued event. Returns false when the queue is empty.
@@ -506,62 +591,25 @@ impl BCluster {
         let Some((node, ev, ctx)) = picked else {
             return false;
         };
-        let ni = node.0 as usize;
         let pre = self.completions.len();
-        let mut handler = BLoopHandler {
-            node,
-            auto_persist: self.auto_persist,
-            ctx: None,
-            queue: &mut self.queue,
-            held_persists: &mut self.held_persists,
-            completions: &mut self.completions,
-        };
-        self.dispatchers[ni].dispatch_ctx(&mut self.engines[ni], ev, ctx, &mut handler);
+        P::dispatch(self, node, ev, ctx);
         self.absorb_completions(pre);
         self.steps += 1;
         if self.steps.is_multiple_of(LOOPBACK_SAMPLE_STEPS) {
-            match self.router.map().cloned() {
-                Some(map) => {
-                    for (i, e) in self.engines.iter().enumerate() {
-                        let by_shard = e.locked_records_by_shard(&map);
-                        for s in map.shards_on(NodeId(i as u16)) {
-                            let n = by_shard.get(&s.0).copied().unwrap_or(0);
-                            self.gauges.observe_shard(
-                                GaugeKind::LockTableSize,
-                                i as u32,
-                                s.0,
-                                n as u64,
-                            );
-                        }
-                    }
-                    for (&shard, &n) in &self.inflight_by_shard {
-                        self.gauges
-                            .observe_shard(GaugeKind::InflightTxs, GAUGE_NODE_ALL, shard, n);
-                    }
-                }
-                None => {
-                    for (i, e) in self.engines.iter().enumerate() {
-                        self.gauges.observe(
-                            GaugeKind::LockTableSize,
-                            i as u32,
-                            e.locked_records() as u64,
-                        );
-                    }
-                    let done: u64 = self.completions.len() as u64;
-                    self.gauges.observe(
-                        GaugeKind::InflightTxs,
-                        GAUGE_NODE_ALL,
-                        (self.next_req - 1).saturating_sub(done),
-                    );
-                }
-            }
-            self.gauges.observe(
-                GaugeKind::HostSendQueue,
-                GAUGE_NODE_ALL,
-                self.queue.len() as u64,
-            );
+            self.sample_gauges();
         }
         true
+    }
+
+    fn sample_gauges(&mut self) {
+        let inflight = (self.next_req - 1).saturating_sub(self.completions.len() as u64);
+        self.router
+            .observe_load(&mut self.gauges, &self.engines, inflight);
+        self.gauges.observe(
+            GaugeKind::HostSendQueue,
+            GAUGE_NODE_ALL,
+            self.queue.len() as u64,
+        );
     }
 
     /// Folds barrier-child completions into their parent: a child's
@@ -579,11 +627,8 @@ impl BCluster {
                     (*req, None)
                 }
             };
-            if let (Some(map), Some(key)) = (self.router.map(), key) {
-                let shard = map.shard_of(key).0;
-                if let Some(n) = self.inflight_by_shard.get_mut(&shard) {
-                    *n = n.saturating_sub(1);
-                }
+            if let Some(key) = key {
+                self.router.note_completed(key);
             }
             if self.router.is_child(req) {
                 self.completions.remove(i);
@@ -618,18 +663,6 @@ impl BCluster {
             steps += 1;
             assert!(steps < 10_000_000, "loopback cluster did not quiesce");
         }
-    }
-
-    /// Releases all held persist completions (manual-persist mode) and
-    /// returns how many were released.
-    pub fn release_persists(&mut self) -> usize {
-        let held = std::mem::take(&mut self.held_persists);
-        let n = held.len();
-        for (node, key, ts, ctx) in held {
-            self.queue
-                .push_back((node, Event::PersistDone { key, ts }, ctx));
-        }
-        n
     }
 
     /// Whether write `req` has completed.
@@ -717,31 +750,39 @@ impl BCluster {
     }
 
     /// Crashes `node`: its volatile state is lost (the engine is rebuilt
-    /// fresh), events queued for it are dropped, NVM completions it was
-    /// awaiting are discarded, every surviving engine excludes it from
-    /// its acknowledgment quorums, and the view epoch advances.
+    /// fresh and its counters zeroed; an attached tracer stays), events
+    /// queued for it are dropped, NVM completions it was awaiting are
+    /// discarded, every surviving engine excludes it from its
+    /// acknowledgment quorums, and the view epoch advances.
+    ///
+    /// The offloaded engine has no failure detector — its quorums always
+    /// span the full replica group — so an [`OCluster`] crash must be
+    /// *quiesced*: a Synchronous write coordinated elsewhere would
+    /// otherwise wait forever for the dead node's acknowledgment.
     ///
     /// # Panics
     ///
-    /// Panics if `node` is outside the cluster.
+    /// Panics if `node` is outside the cluster, or on an [`OCluster`]
+    /// with an operation in flight.
     pub fn crash_node(&mut self, node: NodeId) {
+        P::before_view_change(&self.engines);
         let ni = node.0 as usize;
         let n = self.engines.len();
         let model = self.engines[ni].model();
-        self.engines[ni] = NodeEngine::new(node, n, model);
+        self.engines[ni] = P::engine(node, n, model);
         self.engines[ni].set_placement(self.router.map().cloned());
-        self.dispatchers[ni] = Dispatcher::new();
+        self.dispatchers[ni].reset_stats();
         self.queue.retain(|(to, _, _)| *to != node);
         self.held_persists.retain(|(at, _, _, _)| *at != node);
         self.view.mark_down(node).expect("crash a known node");
-        for i in 0..n {
+        for (i, e) in self.engines.iter_mut().enumerate() {
             if i != ni {
-                self.engines[i].mark_failed(node);
+                e.mark_failed(node);
             }
         }
         // In-flight transactions blocked on the dead node's ack
         // re-evaluate against the shrunken quorum.
-        self.poke_all();
+        P::poke(self);
     }
 
     /// Rejoins crashed `node` with `donor` as the catch-up source: the
@@ -750,7 +791,8 @@ impl BCluster {
     /// plus the donor's missing-version delta — loopback has no
     /// persistence layer, so the donor copy *is* the recovered state),
     /// the survivors re-admit it to their quorums, and the epoch
-    /// advances again.
+    /// advances again. Like [`Loopback::crash_node`], an [`OCluster`]
+    /// must be quiescent.
     ///
     /// # Panics
     ///
@@ -762,19 +804,7 @@ impl BCluster {
         );
         self.view.begin_rejoin(node).expect("rejoin a down node");
         let ni = node.0 as usize;
-        let records: Vec<(Key, Ts, Value)> = self.engines[donor.0 as usize]
-            .keys()
-            .into_iter()
-            .filter(|&k| self.engines[ni].is_replica(k))
-            .map(|k| {
-                let e = &self.engines[donor.0 as usize];
-                (
-                    k,
-                    e.record_meta(k).volatile_ts,
-                    e.record_value(k).unwrap_or_default(),
-                )
-            })
-            .collect();
+        let records = self.engines[donor.0 as usize].catch_up_set(&self.engines[ni]);
         for (k, ts, v) in records {
             self.engines[ni].install_recovered(k, ts, v);
         }
@@ -793,604 +823,25 @@ impl BCluster {
         self.view
             .complete_rejoin(node, self.steps)
             .expect("complete rejoin");
-        self.poke_all();
-    }
-
-    /// Drains the unblock actions a view change releases: every engine
-    /// re-evaluates its in-flight transactions now (the timed runtimes
-    /// do this on their next timer tick).
-    fn poke_all(&mut self) {
-        let pre = self.completions.len();
-        for i in 0..self.engines.len() {
-            let mut out = Vec::new();
-            self.engines[i].poll_now(&mut out);
-            let mut handler = BLoopHandler {
-                node: NodeId(i as u16),
-                auto_persist: self.auto_persist,
-                ctx: None,
-                queue: &mut self.queue,
-                held_persists: &mut self.held_persists,
-                completions: &mut self.completions,
-            };
-            self.dispatchers[i].run_actions(&self.engines[i], out, &mut handler);
-        }
-        self.absorb_completions(pre);
+        P::poke(self);
     }
 }
 
-/// Loopback driver for a cluster of MINOS-O engines (host + SmartNIC per
-/// node). PCIe descriptors and FIFO drains are delivered through the same
-/// FIFO queue; functional behavior matches the simulator's, minus timing.
-#[derive(Debug, Clone)]
-pub struct OCluster {
-    engines: Vec<ONodeEngine>,
-    dispatchers: Vec<ODispatcher>,
-    /// Queued deliveries with the causing dispatch's trace context (see
-    /// [`BCluster::queue`]).
-    queue: VecDeque<(NodeId, OEvent, Option<TraceCtx>)>,
-    completions: Vec<Completion>,
-    next_req: u64,
-    scramble: Option<u64>,
-    /// Resource telemetry, sampled every [`LOOPBACK_SAMPLE_STEPS`]
-    /// dispatch steps (mirrors [`BCluster::gauges`]).
-    gauges: GaugeSet,
-    steps: u64,
-    /// Key → shard-group routing and multi-op barriers. MINOS-O engines
-    /// have no redirect path, so on a sharded cluster this facade routing
-    /// is what keeps every submit on a replica.
-    router: ShardRouter,
-    /// Barrier parents awaiting their last child.
-    parents: BTreeMap<ReqId, ParentOp>,
-    /// Submitted-minus-completed keyed ops per shard (sharded only).
-    inflight_by_shard: BTreeMap<u32, u64>,
-    /// Epoch/lease membership view (see [`BCluster`]'s field). The
-    /// offloaded engine carries no failure detector, so O-cluster view
-    /// changes are *quiesced* — see [`OCluster::crash_node`].
-    view: MembershipView,
-}
-
-/// The loopback handler for MINOS-O: PCIe descriptors and FIFO drains
-/// feed back into the same queue immediately.
-struct OLoopHandler<'a> {
-    node: NodeId,
-    /// The dispatching node's trace context (see [`BLoopHandler::ctx`]).
-    ctx: Option<TraceCtx>,
-    queue: &'a mut VecDeque<(NodeId, OEvent, Option<TraceCtx>)>,
-    completions: &'a mut Vec<Completion>,
-}
-
-impl Transport for OLoopHandler<'_> {
-    fn send(&mut self, to: NodeId, msg: minos_types::Message) {
-        self.queue.push_back((
-            to,
-            OEvent::NetMessage {
-                from: self.node,
-                msg,
-            },
-            self.ctx,
-        ));
+impl Loopback<Baseline> {
+    /// Injects a raw event (tests use this for out-of-order deliveries).
+    pub fn inject(&mut self, node: NodeId, event: Event) {
+        self.queue.push_back((node, event, None));
     }
 
-    fn set_ctx(&mut self, ctx: Option<TraceCtx>) {
-        self.ctx = ctx;
-    }
-}
-
-impl OSink for OLoopHandler<'_> {
-    fn pcie(&mut self, from: Side, msg: PcieMsg) {
-        let ev = match from {
-            Side::Host => OEvent::PcieFromHost(msg),
-            Side::Snic => OEvent::PcieFromSnic(msg),
-        };
-        self.queue.push_back((self.node, ev, self.ctx));
-    }
-
-    fn vfifo_enqueue(&mut self, key: Key, ts: Ts, _bytes: u64) {
-        self.queue
-            .push_back((self.node, OEvent::VfifoDrained { key, ts }, self.ctx));
-    }
-
-    fn dfifo_enqueue(&mut self, key: Key, ts: Ts, _bytes: u64) {
-        self.queue
-            .push_back((self.node, OEvent::DfifoDrained { key, ts }, self.ctx));
-    }
-
-    fn defer(&mut self, event: OEvent) {
-        self.queue.push_back((self.node, event, self.ctx));
-    }
-
-    fn write_done(&mut self, req: ReqId, key: Key, ts: Ts, obsolete: bool) {
-        self.completions.push(Completion::Write {
-            node: self.node,
-            req,
-            key,
-            ts,
-            obsolete,
-        });
-    }
-
-    fn read_done(&mut self, req: ReqId, key: Key, value: Value, ts: Ts) {
-        self.completions.push(Completion::Read {
-            node: self.node,
-            req,
-            key,
-            value,
-            ts,
-        });
-    }
-
-    fn persist_scope_done(&mut self, req: ReqId, scope: ScopeId) {
-        self.completions.push(Completion::PersistScope {
-            node: self.node,
-            req,
-            scope,
-        });
-    }
-}
-
-impl OCluster {
-    /// Builds an `n`-node MINOS-O cluster running `model`.
-    #[must_use]
-    pub fn new(n: usize, model: DdpModel) -> Self {
-        OCluster {
-            engines: (0..n)
-                .map(|i| ONodeEngine::new(NodeId(i as u16), n, model))
-                .collect(),
-            dispatchers: vec![ODispatcher::new(); n],
-            queue: VecDeque::new(),
-            completions: Vec::new(),
-            next_req: 1,
-            scramble: None,
-            gauges: GaugeSet::new(),
-            steps: 0,
-            router: ShardRouter::new(None),
-            parents: BTreeMap::new(),
-            inflight_by_shard: BTreeMap::new(),
-            view: MembershipView::new(n, LOOPBACK_LEASE, 0),
-        }
-    }
-
-    /// Builds a sharded MINOS-O cluster over `map`'s nodes (see
-    /// [`BCluster::with_placement`]). The facade routes every client op
-    /// to a replica — the offloaded engines themselves never redirect.
-    #[must_use]
-    pub fn with_placement(map: ShardMap, model: DdpModel) -> Self {
-        let mut cl = OCluster::new(map.n_nodes(), model);
-        for e in &mut cl.engines {
-            e.set_placement(Some(map.clone()));
-        }
-        cl.router = ShardRouter::new(Some(map));
-        cl
-    }
-
-    /// The placement map, if this cluster is sharded.
-    #[must_use]
-    pub fn placement(&self) -> Option<&ShardMap> {
-        self.router.map()
-    }
-
-    /// Enables seeded event-order scrambling (see
-    /// [`BCluster::set_scramble`]).
-    pub fn set_scramble(&mut self, seed: u64) {
-        self.scramble = Some(seed.max(1));
-    }
-
-    /// Attaches `sinks` to every node's dispatcher (see
-    /// [`BCluster::attach_tracer`]).
-    pub fn attach_tracer(&mut self, sinks: Vec<SharedSink>) {
-        let clock = TraceClock::sequence();
-        for (i, d) in self.dispatchers.iter_mut().enumerate() {
-            d.set_tracer(Some(Tracer::new(
-                NodeId(i as u16),
-                clock.clone(),
-                sinks.clone(),
-            )));
-        }
-    }
-
-    /// Access to a node's engine.
-    #[must_use]
-    pub fn engine(&self, node: NodeId) -> &ONodeEngine {
-        &self.engines[node.0 as usize]
-    }
-
-    /// Mutable access to a node's engine.
-    pub fn engine_mut(&mut self, node: NodeId) -> &mut ONodeEngine {
-        &mut self.engines[node.0 as usize]
-    }
-
-    /// A node's accumulated dispatch counters.
-    #[must_use]
-    pub fn dispatch_stats(&self, node: NodeId) -> &ODispatchStats {
-        self.dispatchers[node.0 as usize].stats()
-    }
-
-    /// Cluster-wide dispatch counters (all nodes merged).
-    #[must_use]
-    pub fn dispatch_stats_total(&self) -> ODispatchStats {
-        let mut total = ODispatchStats::default();
-        for d in &self.dispatchers {
-            total.merge(d.stats());
-        }
-        total
-    }
-
-    /// Pre-loads `key` on every node that replicates it.
-    pub fn load_all(&mut self, key: Key, value: Value) {
-        for e in &mut self.engines {
-            if e.is_replica(key) {
-                e.load_record(key, value.clone());
-            }
-        }
-    }
-
-    /// Completions observed so far.
-    #[must_use]
-    pub fn completions(&self) -> &[Completion] {
-        &self.completions
-    }
-
-    fn fresh_req(&mut self) -> ReqId {
-        let r = ReqId(self.next_req);
-        self.next_req += 1;
-        r
-    }
-
-    fn note_submitted(&mut self, key: Key) {
-        if let Some(map) = self.router.map() {
-            let shard = map.shard_of(key).0;
-            *self.inflight_by_shard.entry(shard).or_insert(0) += 1;
-        }
-    }
-
-    /// Submits a client write at `node`, routed to a replica of its
-    /// key's shard.
-    pub fn submit_write(
-        &mut self,
-        node: NodeId,
-        key: Key,
-        value: Value,
-        scope: Option<ScopeId>,
-    ) -> ReqId {
-        let req = self.fresh_req();
-        let coord = self.router.route_write(node, key, scope);
-        self.note_submitted(key);
-        self.queue.push_back((
-            coord,
-            OEvent::ClientWrite {
-                key,
-                value,
-                scope,
-                req,
-            },
-            None,
-        ));
-        req
-    }
-
-    /// Submits a client read at `node`, routed to a serving replica.
-    pub fn submit_read(&mut self, node: NodeId, key: Key) -> ReqId {
-        let req = self.fresh_req();
-        let serving = self.router.serving(node, key);
-        self.note_submitted(key);
-        self.queue
-            .push_back((serving, OEvent::ClientRead { key, req }, None));
-        req
-    }
-
-    /// Submits a multi-key write batch at `node` (see
-    /// [`BCluster::submit_write_multi`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `writes` is empty.
-    pub fn submit_write_multi(
-        &mut self,
-        node: NodeId,
-        writes: Vec<(Key, Value)>,
-        scope: Option<ScopeId>,
-    ) -> ReqId {
-        assert!(!writes.is_empty(), "empty multi-key write batch");
-        let req = self.fresh_req();
-        let children: Vec<ReqId> = writes.iter().map(|_| self.fresh_req()).collect();
-        self.router.begin_barrier(req, &children);
-        self.parents.insert(
-            req,
-            ParentOp::Multi {
-                node,
-                keys: writes.iter().map(|(k, _)| *k).collect(),
-            },
-        );
-        for ((key, value), child) in writes.into_iter().zip(children) {
-            let coord = self.router.route_write(node, key, scope);
-            self.note_submitted(key);
-            self.queue.push_back((
-                coord,
-                OEvent::ClientWrite {
-                    key,
-                    value,
-                    scope,
-                    req: child,
-                },
-                None,
-            ));
-        }
-        req
-    }
-
-    /// Submits a `[PERSIST]sc` at `node` (see
-    /// [`BCluster::submit_persist_scope`] for the sharded fan-out).
-    pub fn submit_persist_scope(&mut self, node: NodeId, scope: ScopeId) -> ReqId {
-        let req = self.fresh_req();
-        if self.router.map().is_some() {
-            let coords = self.router.scope_coordinators(node, scope);
-            let children: Vec<ReqId> = coords.iter().map(|_| self.fresh_req()).collect();
-            self.router.begin_barrier(req, &children);
-            self.parents.insert(req, ParentOp::Scope { node, scope });
-            for (coord, child) in coords.into_iter().zip(children) {
-                self.queue.push_back((
-                    coord,
-                    OEvent::ClientPersistScope { scope, req: child },
-                    None,
-                ));
-            }
-        } else {
+    /// Releases all held persist completions (manual-persist mode) and
+    /// returns how many were released.
+    pub fn release_persists(&mut self) -> usize {
+        let held = std::mem::take(&mut self.held_persists);
+        let n = held.len();
+        for (node, key, ts, ctx) in held {
             self.queue
-                .push_back((node, OEvent::ClientPersistScope { scope, req }, None));
+                .push_back((node, Event::PersistDone { key, ts }, ctx));
         }
-        req
-    }
-
-    /// Processes one queued event.
-    pub fn step(&mut self) -> bool {
-        let picked = match self.scramble {
-            Some(ref mut seed) if !self.queue.is_empty() => {
-                let idx = (xorshift(seed) % self.queue.len() as u64) as usize;
-                self.queue.remove(idx)
-            }
-            _ => self.queue.pop_front(),
-        };
-        let Some((node, ev, ctx)) = picked else {
-            return false;
-        };
-        let ni = node.0 as usize;
-        let pre = self.completions.len();
-        let mut handler = OLoopHandler {
-            node,
-            ctx: None,
-            queue: &mut self.queue,
-            completions: &mut self.completions,
-        };
-        self.dispatchers[ni].dispatch_ctx(&mut self.engines[ni], ev, ctx, &mut handler);
-        self.absorb_completions(pre);
-        self.steps += 1;
-        if self.steps.is_multiple_of(LOOPBACK_SAMPLE_STEPS) {
-            match self.router.map().cloned() {
-                Some(map) => {
-                    for (i, e) in self.engines.iter().enumerate() {
-                        let by_shard = e.locked_records_by_shard(&map);
-                        for s in map.shards_on(NodeId(i as u16)) {
-                            let n = by_shard.get(&s.0).copied().unwrap_or(0);
-                            self.gauges.observe_shard(
-                                GaugeKind::LockTableSize,
-                                i as u32,
-                                s.0,
-                                n as u64,
-                            );
-                        }
-                    }
-                    for (&shard, &n) in &self.inflight_by_shard {
-                        self.gauges
-                            .observe_shard(GaugeKind::InflightTxs, GAUGE_NODE_ALL, shard, n);
-                    }
-                }
-                None => {
-                    for (i, e) in self.engines.iter().enumerate() {
-                        self.gauges.observe(
-                            GaugeKind::LockTableSize,
-                            i as u32,
-                            e.locked_records() as u64,
-                        );
-                    }
-                    let done: u64 = self.completions.len() as u64;
-                    self.gauges.observe(
-                        GaugeKind::InflightTxs,
-                        GAUGE_NODE_ALL,
-                        (self.next_req - 1).saturating_sub(done),
-                    );
-                }
-            }
-            self.gauges.observe(
-                GaugeKind::HostSendQueue,
-                GAUGE_NODE_ALL,
-                self.queue.len() as u64,
-            );
-        }
-        true
-    }
-
-    /// Folds barrier-child completions into their parent (see
-    /// [`BCluster::absorb_completions`]).
-    fn absorb_completions(&mut self, from: usize) {
-        let mut i = from;
-        while i < self.completions.len() {
-            let (req, key) = match &self.completions[i] {
-                Completion::Write { req, key, .. } | Completion::Read { req, key, .. } => {
-                    (*req, Some(*key))
-                }
-                Completion::PersistScope { req, .. } | Completion::MultiWrite { req, .. } => {
-                    (*req, None)
-                }
-            };
-            if let (Some(map), Some(key)) = (self.router.map(), key) {
-                let shard = map.shard_of(key).0;
-                if let Some(n) = self.inflight_by_shard.get_mut(&shard) {
-                    *n = n.saturating_sub(1);
-                }
-            }
-            if self.router.is_child(req) {
-                self.completions.remove(i);
-                if let Some(parent) = self.router.complete_child(req) {
-                    let op = self
-                        .parents
-                        .remove(&parent)
-                        .expect("barrier parent recorded");
-                    self.completions.push(op.finish(parent));
-                }
-            } else {
-                i += 1;
-            }
-        }
-    }
-
-    /// The resource-telemetry gauges accumulated so far.
-    #[must_use]
-    pub fn gauges(&self) -> &GaugeSet {
-        &self.gauges
-    }
-
-    /// Runs to quiescence.
-    ///
-    /// # Panics
-    ///
-    /// Panics after 10 million steps.
-    pub fn run(&mut self) {
-        let mut steps = 0u64;
-        while self.step() {
-            steps += 1;
-            assert!(steps < 10_000_000, "loopback O-cluster did not quiesce");
-        }
-    }
-
-    /// Whether write `req` has completed.
-    #[must_use]
-    pub fn write_completed(&self, req: ReqId) -> bool {
-        self.completions
-            .iter()
-            .any(|c| matches!(c, Completion::Write { req: r, .. } if *r == req))
-    }
-
-    /// Whether multi-key write `req` (a barrier parent) has completed.
-    #[must_use]
-    pub fn multi_completed(&self, req: ReqId) -> bool {
-        self.completions
-            .iter()
-            .any(|c| matches!(c, Completion::MultiWrite { req: r, .. } if *r == req))
-    }
-
-    /// The value observed by read `req`, if completed.
-    #[must_use]
-    pub fn read_value(&self, req: ReqId) -> Option<Value> {
-        self.completions.iter().find_map(|c| match c {
-            Completion::Read { req: r, value, .. } if *r == req => Some(value.clone()),
-            _ => None,
-        })
-    }
-
-    /// Asserts replica convergence for `key`; returns the common value.
-    /// On a sharded cluster only the key's replica group is checked.
-    ///
-    /// # Panics
-    ///
-    /// Panics if replicas diverge or a lock is still held.
-    pub fn assert_converged(&self, key: Key) -> Value {
-        let replicas: Vec<usize> = match self.router.map() {
-            Some(map) => map
-                .replicas_of_key(key)
-                .iter()
-                .map(|n| n.0 as usize)
-                .collect(),
-            None => (0..self.engines.len()).collect(),
-        };
-        let first = self.engines[replicas[0]]
-            .record_value(key)
-            .unwrap_or_default();
-        for &i in &replicas {
-            let e = &self.engines[i];
-            let meta = e.record_meta(key);
-            assert!(meta.readable(), "node {}: RDLock still held", e.node());
-            assert_eq!(
-                e.record_value(key).unwrap_or_default(),
-                first,
-                "replica divergence at node {}",
-                e.node()
-            );
-        }
-        first
-    }
-
-    /// The epoch/lease membership view in force.
-    #[must_use]
-    pub fn membership(&self) -> &MembershipView {
-        &self.view
-    }
-
-    /// The current view epoch.
-    #[must_use]
-    pub fn view_epoch(&self) -> u64 {
-        self.view.epoch()
-    }
-
-    /// Crashes `node` between client batches: its engine is rebuilt
-    /// fresh (volatile loss), queued events for it are dropped, and the
-    /// view epoch advances.
-    ///
-    /// The offloaded engine has no failure detector — its quorums always
-    /// span the full replica group — so O-cluster crash/rejoin is
-    /// *quiesced*: every engine must be idle when the view changes. A
-    /// Synchronous write coordinated elsewhere would otherwise wait
-    /// forever for the dead node's acknowledgment.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any engine has an operation in flight.
-    pub fn crash_node(&mut self, node: NodeId) {
-        assert!(
-            self.engines.iter().all(ONodeEngine::is_quiescent),
-            "O-cluster view changes must be quiesced"
-        );
-        let ni = node.0 as usize;
-        let n = self.engines.len();
-        let model = self.engines[ni].model();
-        self.engines[ni] = ONodeEngine::new(node, n, model);
-        self.engines[ni].set_placement(self.router.map().cloned());
-        self.dispatchers[ni] = ODispatcher::new();
-        self.queue.retain(|(to, _, _)| *to != node);
-        self.view.mark_down(node).expect("crash a known node");
-    }
-
-    /// Rejoins crashed `node` with `donor` as the catch-up source (see
-    /// [`BCluster::rejoin_node`]); like [`OCluster::crash_node`], the
-    /// cluster must be quiescent.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `node` is down and `donor` is serving.
-    pub fn rejoin_node(&mut self, node: NodeId, donor: NodeId) {
-        assert!(
-            self.view.is_serving(donor),
-            "rejoin donor {donor} is not serving"
-        );
-        self.view.begin_rejoin(node).expect("rejoin a down node");
-        let ni = node.0 as usize;
-        let records: Vec<(Key, Ts, Value)> = self.engines[donor.0 as usize]
-            .keys()
-            .into_iter()
-            .filter(|&k| self.engines[ni].is_replica(k))
-            .map(|k| {
-                let e = &self.engines[donor.0 as usize];
-                (
-                    k,
-                    e.record_meta(k).volatile_ts,
-                    e.record_value(k).unwrap_or_default(),
-                )
-            })
-            .collect();
-        for (k, ts, v) in records {
-            self.engines[ni].install_recovered(k, ts, v);
-        }
-        self.view
-            .complete_rejoin(node, self.steps)
-            .expect("complete rejoin");
+        n
     }
 }

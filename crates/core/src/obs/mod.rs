@@ -4,8 +4,7 @@
 //! The [`runtime`](crate::runtime) dispatchers are the single choke point
 //! every harness routes protocol actions through, so they are also the
 //! single instrumentation point: a [`Tracer`] installed on a
-//! [`Dispatcher`](crate::runtime::Dispatcher) /
-//! [`ODispatcher`](crate::runtime::ODispatcher) emits one [`TraceRecord`]
+//! [`Interpreter`](crate::runtime::Interpreter) emits one [`TraceRecord`]
 //! per protocol-event boundary — op admitted, coordinator send, follower
 //! ACK receipt, persist start/complete, batch flush, broadcast fan-out —
 //! into any number of shared [`TraceSink`]s. With no tracer installed
@@ -466,8 +465,11 @@ pub(crate) fn trace_of_event(ev: &Event) -> Option<TraceEvent> {
 }
 
 /// The trace boundary a MINOS-B output action crosses, if any.
-/// `fanout_dests` carries the destination count the dispatcher computed.
-pub(crate) fn trace_of_action(act: &Action, fanout_dests: usize) -> Option<TraceEvent> {
+/// `fanout_dests` sizes a fan-out from its key (asked only for one).
+pub(crate) fn trace_of_action(
+    act: &Action,
+    fanout_dests: impl FnOnce(Option<Key>) -> usize,
+) -> Option<TraceEvent> {
     match act {
         Action::Send { to, msg } => Some(TraceEvent::MsgSent {
             to: *to,
@@ -475,7 +477,7 @@ pub(crate) fn trace_of_action(act: &Action, fanout_dests: usize) -> Option<Trace
             key: msg.key(),
         }),
         Action::SendToFollowers { msg } => Some(TraceEvent::FanOut {
-            dests: u32::try_from(fanout_dests).unwrap_or(u32::MAX),
+            dests: u32::try_from(fanout_dests(msg.key())).unwrap_or(u32::MAX),
             kind: msg.kind(),
             key: msg.key(),
         }),
@@ -558,7 +560,10 @@ pub(crate) fn trace_of_oevent(ev: &OEvent) -> Option<TraceEvent> {
 }
 
 /// The trace boundary a MINOS-O output action crosses, if any.
-pub(crate) fn trace_of_oaction(act: &OAction, fanout_dests: usize) -> Option<TraceEvent> {
+pub(crate) fn trace_of_oaction(
+    act: &OAction,
+    fanout_dests: impl FnOnce(Option<Key>) -> usize,
+) -> Option<TraceEvent> {
     match act {
         OAction::Send { to, msg } => Some(TraceEvent::MsgSent {
             to: *to,
@@ -566,7 +571,7 @@ pub(crate) fn trace_of_oaction(act: &OAction, fanout_dests: usize) -> Option<Tra
             key: msg.key(),
         }),
         OAction::SendToFollowers { msg } => Some(TraceEvent::FanOut {
-            dests: u32::try_from(fanout_dests).unwrap_or(u32::MAX),
+            dests: u32::try_from(fanout_dests(msg.key())).unwrap_or(u32::MAX),
             kind: msg.kind(),
             key: msg.key(),
         }),

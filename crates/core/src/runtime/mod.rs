@@ -1,18 +1,22 @@
 //! The shared action-dispatch runtime.
 //!
 //! Every MINOS harness — the in-process loopback cluster, the threaded
-//! crossbeam cluster, the TCP cluster, both discrete-event simulators and
-//! both model-checker systems — used to carry its own `match act { ... }`
-//! loop interpreting [`Action`]s/[`OAction`]s. Six copies of the protocol's
-//! *operational* semantics drifted independently (the threaded cluster,
-//! for instance, silently dropped [`Action::Meta`] hints).
+//! crossbeam cluster, the TCP cluster, the discrete-event simulator and
+//! the model checker — used to carry its own `match act { ... }` loop
+//! interpreting [`Action`]s/[`OAction`]s, and then its own copy of every
+//! layer per protocol. This module owns the single canonical
+//! interpretation, written once over a [`Protocol`]:
 //!
-//! This module owns the single canonical interpretation:
-//!
-//! * [`Dispatcher`] (MINOS-B) and [`ODispatcher`] (MINOS-O) feed an event
-//!   to an engine and walk the resulting actions exactly once, translating
-//!   each into a call on a harness-provided handler and keeping protocol
-//!   counters ([`DispatchStats`]/[`ODispatchStats`]) as they go. Fan-out
+//! * [`Protocol`] names what really differs between MINOS-B
+//!   ([`Baseline`]) and MINOS-O ([`Offload`]): engine, event, action and
+//!   counter types, the client-event constructors, the trace
+//!   classification and the view-change rule. [`Interpret`] is its
+//!   action→handler half.
+//! * [`Interpreter`] ([`Dispatcher`] for MINOS-B, [`ODispatcher`] for
+//!   MINOS-O) feeds an event to an engine and walks the resulting
+//!   actions exactly once, translating each into a call on a
+//!   harness-provided handler and keeping protocol counters
+//!   ([`DispatchStats`]/[`ODispatchStats`]) as it goes. Fan-out
 //!   destination computation — replicas of a key for MINOS-B, all peer
 //!   SmartNICs for MINOS-O — lives here, not in the harnesses.
 //! * [`Transport`] is the messaging half of a handler: `send` one protocol
@@ -30,16 +34,16 @@
 //! that gate sends on earlier actions of the same dispatch (the MINOS-O
 //! simulator gates ACKs on its FIFO enqueues) can rely on that.
 //!
-//! Being the single choke point also makes the dispatchers the single
+//! Being the single choke point also makes the interpreter the single
 //! *instrumentation* point: a [`crate::obs::Tracer`] installed
-//! via [`Dispatcher::set_tracer`] / [`ODispatcher::set_tracer`] emits a
-//! structured [`crate::obs::TraceEvent`] at every protocol-event
-//! boundary, in every harness, from one piece of code. Without a tracer
-//! (the default) the only cost is an `Option` discriminant check.
+//! via [`Interpreter::set_tracer`] emits a structured
+//! [`crate::obs::TraceEvent`] at every protocol-event boundary, in every
+//! harness, from one piece of code. Without a tracer (the default) the
+//! only cost is an `Option` discriminant check.
 //!
-//! Time still does not exist here: the dispatcher is as deterministic as
-//! the engines, and the simulators implement [`Transport`] over their
-//! virtual-time event queues.
+//! Time still does not exist here: the interpreter is as deterministic as
+//! the engines, and the simulator implements [`Transport`] over its
+//! virtual-time event queue.
 
 mod batch;
 mod chaos;
@@ -53,8 +57,12 @@ use crate::baseline::NodeEngine;
 use crate::event::{Action, DelayClass, Event, MetaOp, ReqId};
 use crate::obs::{self, TraceEvent, TraceMeta, Tracer};
 use crate::offload::{OAction, OEvent, ONodeEngine, PcieMsg, Side};
+use crate::CoordTxView;
 use minos_types::wire::TraceCtx;
-use minos_types::{Key, Message, NodeId, ScopeId, Ts, Value};
+use minos_types::{DdpModel, Key, Message, NodeId, RecordMeta, ScopeId, ShardMap, Ts, Value};
+use std::collections::BTreeMap;
+use std::fmt;
+use std::hash::Hash;
 
 /// The messaging half of a dispatch handler: how protocol messages leave
 /// the node.
@@ -181,7 +189,7 @@ impl MetaStats {
     }
 }
 
-/// Per-node protocol counters kept by [`Dispatcher`]. Identical workloads
+/// Per-node protocol counters kept by [`Dispatcher`] (MINOS-B). Identical workloads
 /// must produce identical stats in every harness — the cross-harness
 /// parity tests assert exactly that.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -223,236 +231,6 @@ impl DispatchStats {
         self.meta.merge(&other.meta);
     }
 }
-
-/// The canonical MINOS-B action interpreter.
-///
-/// One dispatcher serves one engine (it keeps that node's
-/// [`DispatchStats`]); harnesses that re-create handlers per step keep
-/// the dispatcher across steps so counters accumulate.
-#[derive(Debug, Clone, Default)]
-pub struct Dispatcher {
-    stats: DispatchStats,
-    scratch: Vec<Action>,
-    tracer: Option<Tracer>,
-}
-
-impl Dispatcher {
-    /// A fresh dispatcher with zeroed stats and no tracer.
-    #[must_use]
-    pub fn new() -> Self {
-        Dispatcher::default()
-    }
-
-    /// This node's accumulated protocol counters.
-    #[must_use]
-    pub fn stats(&self) -> &DispatchStats {
-        &self.stats
-    }
-
-    /// Installs (or, with `None`, removes) the observability tracer.
-    /// Every subsequent dispatch emits [`TraceEvent`]s through it.
-    pub fn set_tracer(&mut self, tracer: Option<Tracer>) {
-        self.tracer = tracer;
-    }
-
-    /// The installed tracer (harnesses flush its sinks at shutdown).
-    pub fn tracer_mut(&mut self) -> Option<&mut Tracer> {
-        self.tracer.as_mut()
-    }
-
-    /// Emits the trace boundary for an outgoing action, if tracing.
-    fn trace_action(&mut self, engine: &NodeEngine, act: &Action) {
-        if self.tracer.is_some() {
-            let dests = match act {
-                Action::SendToFollowers { msg } => engine.fanout_targets(msg.key()).len(),
-                _ => 0,
-            };
-            if let Some(ev) = obs::trace_of_action(act, dests) {
-                if let Some(tr) = self.tracer.as_mut() {
-                    tr.emit(ev);
-                }
-            }
-        }
-    }
-
-    /// Emits the batch-flush boundary if the dispatch put traffic on the
-    /// wire (`wire0` is `sends + fanouts` before the dispatch).
-    fn trace_flush(&mut self, wire0: u64) {
-        if let Some(tr) = self.tracer.as_mut() {
-            let sent = self.stats.sends + self.stats.fanouts - wire0;
-            if sent > 0 {
-                tr.emit(TraceEvent::BatchFlushed {
-                    sends: u32::try_from(sent).unwrap_or(u32::MAX),
-                });
-            }
-        }
-    }
-
-    /// Feeds `event` to `engine` and interprets every resulting action
-    /// through `handler`, in emission order, ending with a
-    /// [`Transport::flush`]. Equivalent to [`Dispatcher::dispatch_ctx`]
-    /// with no inbound trace context.
-    pub fn dispatch<H: Transport + ActionSink>(
-        &mut self,
-        engine: &mut NodeEngine,
-        event: Event,
-        handler: &mut H,
-    ) {
-        self.dispatch_ctx(engine, event, None, handler);
-    }
-
-    /// [`Dispatcher::dispatch`] with the distributed-tracing context the
-    /// event arrived under (`None` for untraced or locally originated
-    /// events).
-    ///
-    /// With a tracer installed, the dispatch joins the inbound trace (or
-    /// mints a fresh trace id at a client-op admission), mints its own
-    /// span, stamps every emitted [`TraceEvent`] with the resulting
-    /// [`TraceMeta`], and hands the handler an *outgoing*
-    /// [`TraceCtx`] — `(trace_id, this span, local clock)` — via
-    /// [`Transport::set_ctx`] so wire transports can attach it to this
-    /// dispatch's frames. Without a tracer the inbound context is
-    /// forwarded unchanged, so untraced relay nodes do not sever a trace.
-    pub fn dispatch_ctx<H: Transport + ActionSink>(
-        &mut self,
-        engine: &mut NodeEngine,
-        event: Event,
-        ctx: Option<TraceCtx>,
-        handler: &mut H,
-    ) {
-        let mut out_ctx = ctx.filter(|c| !c.is_empty());
-        if let Some(tr) = self.tracer.as_mut() {
-            let inbound = out_ctx.unwrap_or_default();
-            let admission = matches!(
-                event,
-                Event::ClientWrite { .. }
-                    | Event::ClientRead { .. }
-                    | Event::ClientPersistScope { .. }
-            );
-            let trace_id = if inbound.trace_id != 0 {
-                inbound.trace_id
-            } else if admission {
-                tr.mint_id()
-            } else {
-                0
-            };
-            let span = tr.mint_id();
-            tr.set_meta(TraceMeta {
-                trace_id,
-                span,
-                parent: inbound.span,
-                remote_ns: inbound.origin_ns,
-            });
-            if let Some(ev) = obs::trace_of_event(&event) {
-                tr.emit(ev);
-            }
-            // The remote clock belongs to the input boundary only; action
-            // records carry just the dispatch identity.
-            let meta = tr.meta();
-            tr.set_meta(TraceMeta {
-                remote_ns: 0,
-                ..meta
-            });
-            out_ctx = Some(TraceCtx {
-                trace_id,
-                span,
-                origin_ns: tr.origin_ns(),
-            });
-        }
-        handler.set_ctx(out_ctx);
-        let mut out = std::mem::take(&mut self.scratch);
-        out.clear();
-        engine.on_event(event, &mut out);
-        handler.begin(&out);
-        let wire0 = self.stats.sends + self.stats.fanouts;
-        for act in out.drain(..) {
-            self.apply(engine, act, handler);
-        }
-        handler.flush();
-        self.trace_flush(wire0);
-        if let Some(tr) = self.tracer.as_mut() {
-            tr.set_meta(TraceMeta::default());
-        }
-        self.scratch = out;
-    }
-
-    /// Interprets an already-collected action batch — for harness paths
-    /// that drive the engine outside `on_event` (failure-handling polls).
-    pub fn run_actions<H: Transport + ActionSink>(
-        &mut self,
-        engine: &NodeEngine,
-        actions: Vec<Action>,
-        handler: &mut H,
-    ) {
-        handler.begin(&actions);
-        let wire0 = self.stats.sends + self.stats.fanouts;
-        for act in actions {
-            self.apply(engine, act, handler);
-        }
-        handler.flush();
-        self.trace_flush(wire0);
-    }
-
-    fn apply<H: Transport + ActionSink>(&mut self, engine: &NodeEngine, act: Action, h: &mut H) {
-        self.trace_action(engine, &act);
-        match act {
-            Action::Send { to, msg } => {
-                self.stats.sends += 1;
-                h.send(to, msg);
-            }
-            Action::SendToFollowers { msg } => {
-                let dests = engine.fanout_targets(msg.key());
-                self.stats.fanouts += 1;
-                self.stats.fanout_dests += dests.len() as u64;
-                h.broadcast(&dests, msg);
-            }
-            Action::Persist {
-                key,
-                ts,
-                value,
-                background,
-            } => {
-                self.stats.persists += 1;
-                h.persist(key, ts, value, background);
-            }
-            Action::Redirect { to, event } => {
-                self.stats.redirects += 1;
-                h.redirect(to, event);
-            }
-            Action::Defer { event, class } => {
-                self.stats.defers += 1;
-                h.defer(event, class);
-            }
-            Action::WriteDone {
-                req,
-                key,
-                ts,
-                obsolete,
-            } => {
-                self.stats.writes_done += 1;
-                h.write_done(req, key, ts, obsolete);
-            }
-            Action::ReadDone {
-                req,
-                key,
-                value,
-                ts,
-            } => {
-                self.stats.reads_done += 1;
-                h.read_done(req, key, value, ts);
-            }
-            Action::PersistScopeDone { req, scope } => {
-                self.stats.persist_scopes_done += 1;
-                h.persist_scope_done(req, scope);
-            }
-            Action::Meta(op) => {
-                self.stats.meta.record(&op);
-                h.meta(&op);
-            }
-        }
-    }
-}
-
 /// The local half of a MINOS-O dispatch handler.
 pub trait OSink {
     /// Called once per dispatch with the full action batch (see
@@ -540,29 +318,507 @@ impl ODispatchStats {
         self.snic_meta.merge(&other.snic_meta);
     }
 }
+/// The engine state a shared harness frame reads, seeds and rebuilds —
+/// what [`NodeEngine`] and [`ONodeEngine`] already expose under the same
+/// names, so the loopback cluster, the DES and the model checker can be
+/// written once over [`Protocol::Engine`].
+pub trait Engine: Clone + fmt::Debug + Hash {
+    /// This node's id.
+    fn node(&self) -> NodeId;
+    /// The DDP model in force.
+    fn model(&self) -> DdpModel;
+    /// Installs the placement map (`None` = full replication).
+    fn set_placement(&mut self, map: Option<ShardMap>);
+    /// Whether this node holds a replica of `key`.
+    fn is_replica(&self, key: Key) -> bool;
+    /// Pre-populates a record.
+    fn load_record(&mut self, key: Key, value: Value);
+    /// Installs a record recovered from a rejoin donor.
+    fn install_recovered(&mut self, key: Key, ts: Ts, value: Value);
+    /// Record metadata.
+    fn record_meta(&self, key: Key) -> RecordMeta;
+    /// Current volatile value.
+    fn record_value(&self, key: Key) -> Option<Value>;
+    /// All keys materialized at this node.
+    fn keys(&self) -> Vec<Key>;
+    /// Records currently holding a lock (the lock-table gauge).
+    fn locked_records(&self) -> usize;
+    /// [`Engine::locked_records`] per shard of `map`.
+    fn locked_records_by_shard(&self, map: &ShardMap) -> BTreeMap<u32, usize>;
+    /// True when nothing is in flight.
+    fn is_quiescent(&self) -> bool;
+    /// Views of every in-flight coordinator transaction.
+    fn coord_tx_views(&self) -> Vec<CoordTxView>;
+    /// Excludes a failed `peer` from acknowledgment quorums. The
+    /// offloaded engine has no failure detector — its quorums always
+    /// span the full replica group — so the default does nothing.
+    fn mark_failed(&mut self, _peer: NodeId) {}
+    /// Re-admits a recovered `peer` (see [`Engine::mark_failed`]).
+    fn mark_recovered(&mut self, _peer: NodeId) {}
+    /// The rejoin catch-up set: every record this (donor) engine holds
+    /// that `joiner` replicates, at its volatile version.
+    fn catch_up_set(&self, joiner: &Self) -> Vec<(Key, Ts, Value)> {
+        self.keys()
+            .into_iter()
+            .filter(|&k| joiner.is_replica(k))
+            .map(|k| {
+                let ts = self.record_meta(k).volatile_ts;
+                (k, ts, self.record_value(k).unwrap_or_default())
+            })
+            .collect()
+    }
+}
 
-/// The canonical MINOS-O action interpreter.
-#[derive(Debug, Clone, Default)]
-pub struct ODispatcher {
-    stats: ODispatchStats,
-    scratch: Vec<OAction>,
+impl Engine for NodeEngine {
+    fn node(&self) -> NodeId {
+        NodeEngine::node(self)
+    }
+    fn model(&self) -> DdpModel {
+        NodeEngine::model(self)
+    }
+    fn set_placement(&mut self, map: Option<ShardMap>) {
+        NodeEngine::set_placement(self, map);
+    }
+    fn is_replica(&self, key: Key) -> bool {
+        NodeEngine::is_replica(self, key)
+    }
+    fn load_record(&mut self, key: Key, value: Value) {
+        NodeEngine::load_record(self, key, value);
+    }
+    fn install_recovered(&mut self, key: Key, ts: Ts, value: Value) {
+        NodeEngine::install_recovered(self, key, ts, value);
+    }
+    fn record_meta(&self, key: Key) -> RecordMeta {
+        NodeEngine::record_meta(self, key)
+    }
+    fn record_value(&self, key: Key) -> Option<Value> {
+        NodeEngine::record_value(self, key)
+    }
+    fn keys(&self) -> Vec<Key> {
+        NodeEngine::keys(self)
+    }
+    fn locked_records(&self) -> usize {
+        NodeEngine::locked_records(self)
+    }
+    fn locked_records_by_shard(&self, map: &ShardMap) -> BTreeMap<u32, usize> {
+        NodeEngine::locked_records_by_shard(self, map)
+    }
+    fn is_quiescent(&self) -> bool {
+        NodeEngine::is_quiescent(self)
+    }
+    fn coord_tx_views(&self) -> Vec<CoordTxView> {
+        NodeEngine::coord_tx_views(self)
+    }
+    fn mark_failed(&mut self, peer: NodeId) {
+        NodeEngine::mark_failed(self, peer);
+    }
+    fn mark_recovered(&mut self, peer: NodeId) {
+        NodeEngine::mark_recovered(self, peer);
+    }
+}
+
+impl Engine for ONodeEngine {
+    fn node(&self) -> NodeId {
+        ONodeEngine::node(self)
+    }
+    fn model(&self) -> DdpModel {
+        ONodeEngine::model(self)
+    }
+    fn set_placement(&mut self, map: Option<ShardMap>) {
+        ONodeEngine::set_placement(self, map);
+    }
+    fn is_replica(&self, key: Key) -> bool {
+        ONodeEngine::is_replica(self, key)
+    }
+    fn load_record(&mut self, key: Key, value: Value) {
+        ONodeEngine::load_record(self, key, value);
+    }
+    fn install_recovered(&mut self, key: Key, ts: Ts, value: Value) {
+        ONodeEngine::install_recovered(self, key, ts, value);
+    }
+    fn record_meta(&self, key: Key) -> RecordMeta {
+        ONodeEngine::record_meta(self, key)
+    }
+    fn record_value(&self, key: Key) -> Option<Value> {
+        ONodeEngine::record_value(self, key)
+    }
+    fn keys(&self) -> Vec<Key> {
+        ONodeEngine::keys(self)
+    }
+    fn locked_records(&self) -> usize {
+        ONodeEngine::locked_records(self)
+    }
+    fn locked_records_by_shard(&self, map: &ShardMap) -> BTreeMap<u32, usize> {
+        ONodeEngine::locked_records_by_shard(self, map)
+    }
+    fn is_quiescent(&self) -> bool {
+        ONodeEngine::is_quiescent(self)
+    }
+    fn coord_tx_views(&self) -> Vec<CoordTxView> {
+        ONodeEngine::coord_tx_views(self)
+    }
+}
+
+/// One MINOS protocol variant — the paper's MINOS-B or its §V
+/// re-partitioning across host and SmartNIC, MINOS-O. The trait names
+/// the types that really differ (engine, events, actions, counters) and
+/// the few rules a harness frame cannot write without knowing which
+/// protocol it drives; [`Interpreter`], [`crate::loopback::Loopback`],
+/// the DES and the model checker are each written once over it.
+///
+/// A harness author implements [`Transport`] plus the protocol's own
+/// sink ([`ActionSink`] or [`OSink`]) and never this trait: it has
+/// exactly two implementors, [`Baseline`] and [`Offload`].
+pub trait Protocol: Copy + fmt::Debug + 'static {
+    /// The per-node protocol state machine.
+    type Engine: Engine;
+    /// What the engine consumes.
+    type Event: Clone + fmt::Debug;
+    /// What the engine emits.
+    type Action: Clone + fmt::Debug;
+    /// Per-node protocol counters kept by [`Interpreter`].
+    type Stats: Copy + fmt::Debug + Default + PartialEq + Eq;
+
+    /// A fresh engine for `node` in a cluster of `n_nodes`.
+    fn engine(node: NodeId, n_nodes: usize, model: DdpModel) -> Self::Engine;
+
+    /// Feeds `event` to `engine`, appending the resulting actions.
+    fn on_event(engine: &mut Self::Engine, event: Self::Event, out: &mut Vec<Self::Action>);
+
+    /// The client-write admission event.
+    fn client_write(key: Key, value: Value, scope: Option<ScopeId>, req: ReqId) -> Self::Event;
+
+    /// The client-read admission event.
+    fn client_read(key: Key, req: ReqId) -> Self::Event;
+
+    /// The client `[PERSIST]sc` admission event.
+    fn client_persist_scope(scope: ScopeId, req: ReqId) -> Self::Event;
+
+    /// Wraps a protocol message arriving from peer `from`.
+    fn net_message(from: NodeId, msg: Message) -> Self::Event;
+
+    /// The trace boundary an input event crosses, if any. Client
+    /// admissions are exactly the [`TraceEvent::OpAdmitted`] inputs.
+    fn trace_of_event(event: &Self::Event) -> Option<TraceEvent>;
+
+    /// The trace boundary an output action crosses, if any (`engine`
+    /// sizes fan-outs).
+    fn trace_of_action(action: &Self::Action, engine: &Self::Engine) -> Option<TraceEvent>;
+
+    /// Messages and fan-outs put on the wire so far.
+    fn wire_sends(stats: &Self::Stats) -> u64;
+
+    /// Adds `other` into `into` (cluster-wide aggregation).
+    fn merge_stats(into: &mut Self::Stats, other: &Self::Stats);
+
+    /// Called by a harness frame before it applies a membership change.
+    /// MINOS-B handles failures mid-flight (survivors shrink their
+    /// quorums via [`Engine::mark_failed`]); MINOS-O cannot, and panics
+    /// here unless every engine is idle.
+    fn before_view_change(_engines: &[Self::Engine]) {}
+}
+
+/// The action→handler half of a [`Protocol`]: how one emitted action
+/// becomes calls on a handler `H`. Implemented for every
+/// `H: Transport + ActionSink` by [`Baseline`] and every
+/// `H: Transport + OSink` by [`Offload`]; harnesses get it for free.
+pub trait Interpret<H>: Protocol {
+    /// Hands the handler the full action batch before any per-action
+    /// call (the sink's `begin` hook).
+    fn begin(handler: &mut H, actions: &[Self::Action]);
+
+    /// Counts `action` in `stats` and performs it on `handler`.
+    fn apply(stats: &mut Self::Stats, engine: &Self::Engine, action: Self::Action, handler: &mut H);
+}
+
+/// MINOS-B: the protocol runs on host CPUs ([`NodeEngine`]).
+#[derive(Debug, Clone, Copy)]
+pub struct Baseline;
+
+/// MINOS-O: the protocol split across host and SmartNIC
+/// ([`ONodeEngine`]).
+#[derive(Debug, Clone, Copy)]
+pub struct Offload;
+
+impl Protocol for Baseline {
+    type Engine = NodeEngine;
+    type Event = Event;
+    type Action = Action;
+    type Stats = DispatchStats;
+
+    fn engine(node: NodeId, n_nodes: usize, model: DdpModel) -> NodeEngine {
+        NodeEngine::new(node, n_nodes, model)
+    }
+    fn on_event(engine: &mut NodeEngine, event: Event, out: &mut Vec<Action>) {
+        engine.on_event(event, out);
+    }
+    fn client_write(key: Key, value: Value, scope: Option<ScopeId>, req: ReqId) -> Event {
+        Event::ClientWrite {
+            key,
+            value,
+            scope,
+            req,
+        }
+    }
+    fn client_read(key: Key, req: ReqId) -> Event {
+        Event::ClientRead { key, req }
+    }
+    fn client_persist_scope(scope: ScopeId, req: ReqId) -> Event {
+        Event::ClientPersistScope { scope, req }
+    }
+    fn net_message(from: NodeId, msg: Message) -> Event {
+        Event::Message { from, msg }
+    }
+    fn trace_of_event(event: &Event) -> Option<TraceEvent> {
+        obs::trace_of_event(event)
+    }
+    fn trace_of_action(action: &Action, engine: &NodeEngine) -> Option<TraceEvent> {
+        obs::trace_of_action(action, |key| engine.fanout_targets(key).len())
+    }
+    fn wire_sends(stats: &DispatchStats) -> u64 {
+        stats.sends + stats.fanouts
+    }
+    fn merge_stats(into: &mut DispatchStats, other: &DispatchStats) {
+        into.merge(other);
+    }
+}
+
+impl<H: Transport + ActionSink> Interpret<H> for Baseline {
+    fn begin(handler: &mut H, actions: &[Action]) {
+        handler.begin(actions);
+    }
+
+    fn apply(stats: &mut DispatchStats, engine: &NodeEngine, action: Action, h: &mut H) {
+        match action {
+            Action::Send { to, msg } => {
+                stats.sends += 1;
+                h.send(to, msg);
+            }
+            Action::SendToFollowers { msg } => {
+                let dests = engine.fanout_targets(msg.key());
+                stats.fanouts += 1;
+                stats.fanout_dests += dests.len() as u64;
+                h.broadcast(&dests, msg);
+            }
+            Action::Persist {
+                key,
+                ts,
+                value,
+                background,
+            } => {
+                stats.persists += 1;
+                h.persist(key, ts, value, background);
+            }
+            Action::Redirect { to, event } => {
+                stats.redirects += 1;
+                h.redirect(to, event);
+            }
+            Action::Defer { event, class } => {
+                stats.defers += 1;
+                h.defer(event, class);
+            }
+            Action::WriteDone {
+                req,
+                key,
+                ts,
+                obsolete,
+            } => {
+                stats.writes_done += 1;
+                h.write_done(req, key, ts, obsolete);
+            }
+            Action::ReadDone {
+                req,
+                key,
+                value,
+                ts,
+            } => {
+                stats.reads_done += 1;
+                h.read_done(req, key, value, ts);
+            }
+            Action::PersistScopeDone { req, scope } => {
+                stats.persist_scopes_done += 1;
+                h.persist_scope_done(req, scope);
+            }
+            Action::Meta(op) => {
+                stats.meta.record(&op);
+                h.meta(&op);
+            }
+        }
+    }
+}
+
+impl Protocol for Offload {
+    type Engine = ONodeEngine;
+    type Event = OEvent;
+    type Action = OAction;
+    type Stats = ODispatchStats;
+
+    fn engine(node: NodeId, n_nodes: usize, model: DdpModel) -> ONodeEngine {
+        ONodeEngine::new(node, n_nodes, model)
+    }
+    fn on_event(engine: &mut ONodeEngine, event: OEvent, out: &mut Vec<OAction>) {
+        engine.on_event(event, out);
+    }
+    fn client_write(key: Key, value: Value, scope: Option<ScopeId>, req: ReqId) -> OEvent {
+        OEvent::ClientWrite {
+            key,
+            value,
+            scope,
+            req,
+        }
+    }
+    fn client_read(key: Key, req: ReqId) -> OEvent {
+        OEvent::ClientRead { key, req }
+    }
+    fn client_persist_scope(scope: ScopeId, req: ReqId) -> OEvent {
+        OEvent::ClientPersistScope { scope, req }
+    }
+    fn net_message(from: NodeId, msg: Message) -> OEvent {
+        OEvent::NetMessage { from, msg }
+    }
+    fn trace_of_event(event: &OEvent) -> Option<TraceEvent> {
+        obs::trace_of_oevent(event)
+    }
+    fn trace_of_action(action: &OAction, engine: &ONodeEngine) -> Option<TraceEvent> {
+        obs::trace_of_oaction(action, |key| engine.fanout_targets(key).len())
+    }
+    fn wire_sends(stats: &ODispatchStats) -> u64 {
+        stats.sends + stats.fanouts
+    }
+    fn merge_stats(into: &mut ODispatchStats, other: &ODispatchStats) {
+        into.merge(other);
+    }
+    fn before_view_change(engines: &[ONodeEngine]) {
+        assert!(
+            engines.iter().all(ONodeEngine::is_quiescent),
+            "MINOS-O view changes must be quiesced"
+        );
+    }
+}
+
+impl<H: Transport + OSink> Interpret<H> for Offload {
+    fn begin(handler: &mut H, actions: &[OAction]) {
+        handler.begin(actions);
+    }
+
+    fn apply(stats: &mut ODispatchStats, engine: &ONodeEngine, action: OAction, h: &mut H) {
+        match action {
+            OAction::Send { to, msg } => {
+                stats.sends += 1;
+                h.send(to, msg);
+            }
+            OAction::SendToFollowers { msg } => {
+                // The SNIC broadcast module fans out to the key's replica
+                // group — every peer when the store is fully replicated
+                // (the paper's MINOS-O shape), the shard's peers under a
+                // placement map.
+                let dests = engine.fanout_targets(msg.key());
+                stats.fanouts += 1;
+                stats.fanout_dests += dests.len() as u64;
+                h.broadcast(&dests, msg);
+            }
+            OAction::Pcie { from, msg } => {
+                stats.pcie_msgs += 1;
+                h.pcie(from, msg);
+            }
+            OAction::VfifoEnqueue { key, ts, bytes } => {
+                stats.vfifo_enqueues += 1;
+                h.vfifo_enqueue(key, ts, bytes);
+            }
+            OAction::DfifoEnqueue { key, ts, bytes } => {
+                stats.dfifo_enqueues += 1;
+                h.dfifo_enqueue(key, ts, bytes);
+            }
+            OAction::Defer { event } => {
+                stats.defers += 1;
+                h.defer(event);
+            }
+            OAction::WriteDone {
+                req,
+                key,
+                ts,
+                obsolete,
+            } => {
+                stats.writes_done += 1;
+                h.write_done(req, key, ts, obsolete);
+            }
+            OAction::ReadDone {
+                req,
+                key,
+                value,
+                ts,
+            } => {
+                stats.reads_done += 1;
+                h.read_done(req, key, value, ts);
+            }
+            OAction::PersistScopeDone { req, scope } => {
+                stats.persist_scopes_done += 1;
+                h.persist_scope_done(req, scope);
+            }
+            OAction::Meta { side, op } => {
+                match side {
+                    Side::Host => stats.host_meta.record(&op),
+                    Side::Snic => stats.snic_meta.record(&op),
+                }
+                h.meta(side, &op);
+            }
+            OAction::CoherenceTransfer { key } => {
+                stats.coherence_transfers += 1;
+                h.coherence_transfer(key);
+            }
+        }
+    }
+}
+
+/// The canonical action interpreter, written once for both protocols.
+///
+/// One interpreter serves one engine (it keeps that node's
+/// [`Protocol::Stats`]); harnesses that re-create handlers per step keep
+/// the interpreter across steps so counters accumulate.
+#[derive(Debug, Clone)]
+pub struct Interpreter<P: Protocol> {
+    stats: P::Stats,
+    scratch: Vec<P::Action>,
     tracer: Option<Tracer>,
 }
 
-impl ODispatcher {
-    /// A fresh dispatcher with zeroed stats and no tracer.
+/// The MINOS-B action interpreter.
+pub type Dispatcher = Interpreter<Baseline>;
+
+/// The MINOS-O action interpreter.
+pub type ODispatcher = Interpreter<Offload>;
+
+impl<P: Protocol> Default for Interpreter<P> {
+    fn default() -> Self {
+        Interpreter {
+            stats: P::Stats::default(),
+            scratch: Vec::new(),
+            tracer: None,
+        }
+    }
+}
+
+impl<P: Protocol> Interpreter<P> {
+    /// A fresh interpreter with zeroed stats and no tracer.
     #[must_use]
     pub fn new() -> Self {
-        ODispatcher::default()
+        Self::default()
     }
 
     /// This node's accumulated protocol counters.
     #[must_use]
-    pub fn stats(&self) -> &ODispatchStats {
+    pub fn stats(&self) -> &P::Stats {
         &self.stats
     }
 
+    /// Zeroes the counters and keeps the tracer: what a harness does to
+    /// a crashed node, whose observers must outlive its volatile state.
+    pub fn reset_stats(&mut self) {
+        self.stats = P::Stats::default();
+    }
+
     /// Installs (or, with `None`, removes) the observability tracer.
+    /// Every subsequent dispatch emits [`TraceEvent`]s through it.
     pub fn set_tracer(&mut self, tracer: Option<Tracer>) {
         self.tracer = tracer;
     }
@@ -572,52 +828,49 @@ impl ODispatcher {
         self.tracer.as_mut()
     }
 
-    /// See [`Dispatcher::trace_flush`].
-    fn trace_flush(&mut self, wire0: u64) {
-        if let Some(tr) = self.tracer.as_mut() {
-            let sent = self.stats.sends + self.stats.fanouts - wire0;
-            if sent > 0 {
-                tr.emit(TraceEvent::BatchFlushed {
-                    sends: u32::try_from(sent).unwrap_or(u32::MAX),
-                });
-            }
-        }
-    }
-
     /// Feeds `event` to `engine` and interprets every resulting action
     /// through `handler`, in emission order, ending with a
-    /// [`Transport::flush`]. Equivalent to [`ODispatcher::dispatch_ctx`]
+    /// [`Transport::flush`]. Equivalent to [`Interpreter::dispatch_ctx`]
     /// with no inbound trace context.
-    pub fn dispatch<H: Transport + OSink>(
+    pub fn dispatch<H: Transport>(
         &mut self,
-        engine: &mut ONodeEngine,
-        event: OEvent,
+        engine: &mut P::Engine,
+        event: P::Event,
         handler: &mut H,
-    ) {
+    ) where
+        P: Interpret<H>,
+    {
         self.dispatch_ctx(engine, event, None, handler);
     }
 
-    /// [`ODispatcher::dispatch`] with the trace context the event
-    /// arrived under — see [`Dispatcher::dispatch_ctx`] for semantics.
-    pub fn dispatch_ctx<H: Transport + OSink>(
+    /// [`Interpreter::dispatch`] with the distributed-tracing context
+    /// the event arrived under (`None` for untraced or locally
+    /// originated events).
+    ///
+    /// With a tracer installed, the dispatch joins the inbound trace (or
+    /// mints a fresh trace id at a client-op admission), mints its own
+    /// span, stamps every emitted [`TraceEvent`] with the resulting
+    /// [`TraceMeta`], and hands the handler an *outgoing*
+    /// [`TraceCtx`] — `(trace_id, this span, local clock)` — via
+    /// [`Transport::set_ctx`] so wire transports can attach it to this
+    /// dispatch's frames. Without a tracer the inbound context is
+    /// forwarded unchanged, so untraced relay nodes do not sever a trace.
+    pub fn dispatch_ctx<H: Transport>(
         &mut self,
-        engine: &mut ONodeEngine,
-        event: OEvent,
+        engine: &mut P::Engine,
+        event: P::Event,
         ctx: Option<TraceCtx>,
         handler: &mut H,
-    ) {
+    ) where
+        P: Interpret<H>,
+    {
         let mut out_ctx = ctx.filter(|c| !c.is_empty());
         if let Some(tr) = self.tracer.as_mut() {
             let inbound = out_ctx.unwrap_or_default();
-            let admission = matches!(
-                event,
-                OEvent::ClientWrite { .. }
-                    | OEvent::ClientRead { .. }
-                    | OEvent::ClientPersistScope { .. }
-            );
+            let input = P::trace_of_event(&event);
             let trace_id = if inbound.trace_id != 0 {
                 inbound.trace_id
-            } else if admission {
+            } else if matches!(input, Some(TraceEvent::OpAdmitted { .. })) {
                 tr.mint_id()
             } else {
                 0
@@ -629,9 +882,11 @@ impl ODispatcher {
                 parent: inbound.span,
                 remote_ns: inbound.origin_ns,
             });
-            if let Some(ev) = obs::trace_of_oevent(&event) {
+            if let Some(ev) = input {
                 tr.emit(ev);
             }
+            // The remote clock belongs to the input boundary only; action
+            // records carry just the dispatch identity.
             let meta = tr.meta();
             tr.set_meta(TraceMeta {
                 remote_ns: 0,
@@ -646,95 +901,51 @@ impl ODispatcher {
         handler.set_ctx(out_ctx);
         let mut out = std::mem::take(&mut self.scratch);
         out.clear();
-        engine.on_event(event, &mut out);
-        handler.begin(&out);
-        let wire0 = self.stats.sends + self.stats.fanouts;
-        for act in out.drain(..) {
-            self.apply(engine, act, handler);
-        }
-        handler.flush();
-        self.trace_flush(wire0);
+        P::on_event(engine, event, &mut out);
+        self.run(engine, &mut out, handler);
         if let Some(tr) = self.tracer.as_mut() {
             tr.set_meta(TraceMeta::default());
         }
         self.scratch = out;
     }
 
-    fn apply<H: Transport + OSink>(&mut self, engine: &ONodeEngine, act: OAction, h: &mut H) {
-        if self.tracer.is_some() {
-            let dests = match &act {
-                OAction::SendToFollowers { msg } => engine.fanout_targets(msg.key()).len(),
-                _ => 0,
-            };
-            if let Some(ev) = obs::trace_of_oaction(&act, dests) {
-                if let Some(tr) = self.tracer.as_mut() {
+    /// Interprets an already-collected action batch — for harness paths
+    /// that drive the engine outside `on_event` (failure-handling polls).
+    pub fn run_actions<H: Transport>(
+        &mut self,
+        engine: &P::Engine,
+        mut actions: Vec<P::Action>,
+        handler: &mut H,
+    ) where
+        P: Interpret<H>,
+    {
+        self.run(engine, &mut actions, handler);
+    }
+
+    /// Drains `actions` through `handler` in emission order, tracing
+    /// each boundary, and ends with the flush (and its trace record if
+    /// the batch put traffic on the wire).
+    fn run<H: Transport>(&mut self, engine: &P::Engine, actions: &mut Vec<P::Action>, h: &mut H)
+    where
+        P: Interpret<H>,
+    {
+        P::begin(h, actions);
+        let wire0 = P::wire_sends(&self.stats);
+        for act in actions.drain(..) {
+            if let Some(tr) = self.tracer.as_mut() {
+                if let Some(ev) = P::trace_of_action(&act, engine) {
                     tr.emit(ev);
                 }
             }
+            P::apply(&mut self.stats, engine, act, h);
         }
-        match act {
-            OAction::Send { to, msg } => {
-                self.stats.sends += 1;
-                h.send(to, msg);
-            }
-            OAction::SendToFollowers { msg } => {
-                // The SNIC broadcast module fans out to the key's replica
-                // group — every peer when the store is fully replicated
-                // (the paper's MINOS-O shape), the shard's peers under a
-                // placement map.
-                let dests = engine.fanout_targets(msg.key());
-                self.stats.fanouts += 1;
-                self.stats.fanout_dests += dests.len() as u64;
-                h.broadcast(&dests, msg);
-            }
-            OAction::Pcie { from, msg } => {
-                self.stats.pcie_msgs += 1;
-                h.pcie(from, msg);
-            }
-            OAction::VfifoEnqueue { key, ts, bytes } => {
-                self.stats.vfifo_enqueues += 1;
-                h.vfifo_enqueue(key, ts, bytes);
-            }
-            OAction::DfifoEnqueue { key, ts, bytes } => {
-                self.stats.dfifo_enqueues += 1;
-                h.dfifo_enqueue(key, ts, bytes);
-            }
-            OAction::Defer { event } => {
-                self.stats.defers += 1;
-                h.defer(event);
-            }
-            OAction::WriteDone {
-                req,
-                key,
-                ts,
-                obsolete,
-            } => {
-                self.stats.writes_done += 1;
-                h.write_done(req, key, ts, obsolete);
-            }
-            OAction::ReadDone {
-                req,
-                key,
-                value,
-                ts,
-            } => {
-                self.stats.reads_done += 1;
-                h.read_done(req, key, value, ts);
-            }
-            OAction::PersistScopeDone { req, scope } => {
-                self.stats.persist_scopes_done += 1;
-                h.persist_scope_done(req, scope);
-            }
-            OAction::Meta { side, op } => {
-                match side {
-                    Side::Host => self.stats.host_meta.record(&op),
-                    Side::Snic => self.stats.snic_meta.record(&op),
-                }
-                h.meta(side, &op);
-            }
-            OAction::CoherenceTransfer { key } => {
-                self.stats.coherence_transfers += 1;
-                h.coherence_transfer(key);
+        h.flush();
+        if let Some(tr) = self.tracer.as_mut() {
+            let sent = P::wire_sends(&self.stats) - wire0;
+            if sent > 0 {
+                tr.emit(TraceEvent::BatchFlushed {
+                    sends: u32::try_from(sent).unwrap_or(u32::MAX),
+                });
             }
         }
     }

@@ -1,8 +1,7 @@
 //! The shard-routing dispatcher layer.
 //!
 //! A [`ShardRouter`] sits between a harness facade and its per-node
-//! [`Dispatcher`](crate::runtime::Dispatcher)/[`ODispatcher`](crate::runtime::ODispatcher)
-//! instances. It owns the three cluster-level decisions sharding adds —
+//! [`Interpreter`](crate::runtime::Interpreter) instances. It owns the three cluster-level decisions sharding adds —
 //! the engines themselves stay per-group:
 //!
 //! * **Key routing**: resolve each operation's key to its shard's replica
@@ -22,10 +21,12 @@
 //!   the parent completes when its last child does.
 //!
 //! The router is deterministic and carries no time, so the loopback
-//! clusters, both discrete-event simulators, and the threaded cluster all
+//! cluster, the discrete-event simulator, and the threaded cluster all
 //! share it.
 
 use crate::event::ReqId;
+use crate::obs::{GaugeKind, GaugeSet, GAUGE_NODE_ALL};
+use crate::runtime::Engine;
 use minos_types::{Key, NodeId, ScopeId, ShardMap};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -41,6 +42,9 @@ pub struct ShardRouter {
     children: BTreeMap<ReqId, ReqId>,
     /// Parent request → children still outstanding.
     pending: BTreeMap<ReqId, usize>,
+    /// Submitted-minus-completed keyed ops per shard (tracked only under
+    /// a placement map) — the per-shard in-flight gauge.
+    inflight: BTreeMap<u32, u64>,
 }
 
 impl ShardRouter {
@@ -112,6 +116,49 @@ impl ShardRouter {
         match self.scopes.remove(&(origin, scope)) {
             Some(coords) if !coords.is_empty() => coords.into_iter().collect(),
             _ => vec![origin],
+        }
+    }
+
+    /// Counts a keyed client op into its shard's in-flight gauge.
+    pub fn note_submitted(&mut self, key: Key) {
+        if let Some(map) = &self.map {
+            *self.inflight.entry(map.shard_of(key).0).or_insert(0) += 1;
+        }
+    }
+
+    /// Retires a completed keyed op from its shard's in-flight gauge.
+    pub fn note_completed(&mut self, key: Key) {
+        if let Some(map) = &self.map {
+            if let Some(n) = self.inflight.get_mut(&map.shard_of(key).0) {
+                *n = n.saturating_sub(1);
+            }
+        }
+    }
+
+    /// Samples the lock-table and in-flight gauges of a simulated
+    /// cluster: per shard under a placement map; per node, plus the
+    /// cluster-wide `inflight` count, without one.
+    pub fn observe_load<E: Engine>(&self, gauges: &mut GaugeSet, engines: &[E], inflight: u64) {
+        let Some(map) = &self.map else {
+            for (i, e) in engines.iter().enumerate() {
+                gauges.observe(
+                    GaugeKind::LockTableSize,
+                    i as u32,
+                    e.locked_records() as u64,
+                );
+            }
+            gauges.observe(GaugeKind::InflightTxs, GAUGE_NODE_ALL, inflight);
+            return;
+        };
+        for (i, e) in engines.iter().enumerate() {
+            let by_shard = e.locked_records_by_shard(map);
+            for s in map.shards_on(NodeId(i as u16)) {
+                let n = by_shard.get(&s.0).copied().unwrap_or(0);
+                gauges.observe_shard(GaugeKind::LockTableSize, i as u32, s.0, n as u64);
+            }
+        }
+        for (&shard, &n) in &self.inflight {
+            gauges.observe_shard(GaugeKind::InflightTxs, GAUGE_NODE_ALL, shard, n);
         }
     }
 

@@ -2,7 +2,8 @@
 //! progression, quorum shrink/regrow, donor catch-up, and the quiesced
 //! O-cluster variant.
 
-use minos_core::loopback::{BCluster, OCluster};
+use minos_core::loopback::{BCluster, LoopProtocol, Loopback, OCluster};
+use minos_core::runtime::{Baseline, Engine, Offload};
 use minos_types::{DdpModel, Key, NodeId, NodeState, PersistencyModel, ShardMap};
 
 const ALL_MODELS: [PersistencyModel; 5] = [
@@ -13,10 +14,13 @@ const ALL_MODELS: [PersistencyModel; 5] = [
     PersistencyModel::Scope,
 ];
 
-#[test]
-fn bcluster_crash_shrinks_quorum_and_rejoin_catches_up() {
+/// Crash → (optionally a write against the shrunken quorum) → rejoin
+/// from node 0 → fresh write, on either protocol's loopback cluster.
+/// MINOS-O quorums span the full group, so only MINOS-B can write
+/// during the outage.
+fn crash_and_rejoin_restore_state<P: LoopProtocol>(write_during_outage: bool) {
     for pm in ALL_MODELS {
-        let mut cl = BCluster::new(3, DdpModel::lin(pm));
+        let mut cl = Loopback::<P>::new(3, DdpModel::lin(pm));
         assert_eq!(cl.view_epoch(), 1, "[{pm:?}]");
 
         let r = cl.submit_write(NodeId(0), Key(1), "pre".into(), None);
@@ -33,18 +37,22 @@ fn bcluster_crash_shrinks_quorum_and_rejoin_catches_up() {
         // Volatile loss: the crashed engine forgot the record.
         assert!(cl.engine(NodeId(2)).record_value(Key(1)).is_none());
 
-        // Writes complete against the two-node quorum.
-        let r = cl.submit_write(NodeId(0), Key(1), "during".into(), None);
-        cl.run();
-        assert!(cl.write_completed(r), "[{pm:?}] write during the outage");
+        let mut latest = "pre";
+        if write_during_outage {
+            // Writes complete against the two-node quorum.
+            let r = cl.submit_write(NodeId(0), Key(1), "during".into(), None);
+            cl.run();
+            assert!(cl.write_completed(r), "[{pm:?}] write during the outage");
+            latest = "during";
+        }
 
         cl.rejoin_node(NodeId(2), NodeId(0));
         assert_eq!(cl.view_epoch(), 3, "[{pm:?}] rejoin bumps the epoch");
         assert!(cl.membership().is_serving(NodeId(2)), "[{pm:?}]");
-        // Donor catch-up restored the version written while down.
+        // Donor catch-up restored the latest version.
         assert_eq!(
             cl.engine(NodeId(2)).record_value(Key(1)).unwrap(),
-            "during",
+            latest,
             "[{pm:?}]"
         );
 
@@ -55,6 +63,11 @@ fn bcluster_crash_shrinks_quorum_and_rejoin_catches_up() {
         assert!(cl.write_completed(r), "[{pm:?}]");
         assert_eq!(cl.assert_converged(Key(1)), "post", "[{pm:?}]");
     }
+}
+
+#[test]
+fn bcluster_crash_shrinks_quorum_and_rejoin_catches_up() {
+    crash_and_rejoin_restore_state::<Baseline>(true);
 }
 
 #[test]
@@ -99,30 +112,7 @@ fn sharded_bcluster_rejoin_restores_only_the_nodes_shards() {
 
 #[test]
 fn ocluster_quiesced_crash_rejoin_restores_state() {
-    for pm in ALL_MODELS {
-        let mut cl = OCluster::new(3, DdpModel::lin(pm));
-        let r = cl.submit_write(NodeId(0), Key(1), "pre".into(), None);
-        cl.run();
-        assert!(cl.write_completed(r), "[{pm:?}]");
-
-        cl.crash_node(NodeId(2));
-        assert_eq!(cl.view_epoch(), 2, "[{pm:?}]");
-        assert!(cl.engine(NodeId(2)).record_value(Key(1)).is_none());
-
-        cl.rejoin_node(NodeId(2), NodeId(0));
-        assert_eq!(cl.view_epoch(), 3, "[{pm:?}]");
-        assert_eq!(
-            cl.engine(NodeId(2)).record_value(Key(1)).unwrap(),
-            "pre",
-            "[{pm:?}] donor copy restores the record"
-        );
-
-        // Full-group quorums work again after the rejoin.
-        let r = cl.submit_write(NodeId(1), Key(1), "post".into(), None);
-        cl.run();
-        assert!(cl.write_completed(r), "[{pm:?}]");
-        assert_eq!(cl.assert_converged(Key(1)), "post", "[{pm:?}]");
-    }
+    crash_and_rejoin_restore_state::<Offload>(false);
 }
 
 #[test]

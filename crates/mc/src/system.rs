@@ -1,4 +1,5 @@
-//! The MINOS-B system under check.
+//! The system under check: a cluster of one protocol's engines plus the
+//! set of deliverable events, written once over [`Protocol`].
 
 use crate::explore::{explore, hash_debug, McReport, System, Violation};
 use crate::invariants::{
@@ -6,59 +7,45 @@ use crate::invariants::{
     check_unlocked_agreement, legal_message, NodeView,
 };
 use crate::workload::{McOp, Workload};
-use minos_core::runtime::{ActionSink, Dispatcher, Transport};
-use minos_core::{DelayClass, Event, NodeEngine, ReqId};
+use minos_core::runtime::Transport;
+use minos_core::runtime::{ActionSink, Baseline, Engine, Interpreter, OSink, Offload, Protocol};
+use minos_core::{DelayClass, Event, OEvent, PcieMsg, ReqId, Side};
 use minos_types::{DdpModel, Key, Message, NodeId, ScopeId, Ts, Value};
 use std::collections::hash_map::DefaultHasher;
+use std::collections::BTreeSet;
 use std::hash::{Hash, Hasher};
 
 #[derive(Clone)]
-pub(crate) struct BSystem {
+pub(crate) struct McSystem<P: Protocol> {
     model: DdpModel,
-    engines: Vec<NodeEngine>,
+    engines: Vec<P::Engine>,
     /// Deliverable events: every interleaving of these is explored.
-    inflight: Vec<(NodeId, Event)>,
+    inflight: Vec<(NodeId, P::Event)>,
     /// `[PERSIST]sc` ops staged until all writes complete.
     staged: Vec<(NodeId, ScopeId, ReqId)>,
-    expected_writes: usize,
-    expected_reads: usize,
-    expected_persists: usize,
-    writes_done: usize,
-    reads_done: usize,
-    persists_done: usize,
+    /// Seeded writes, reads and persists.
+    expected: [usize; 3],
+    /// Completed writes, reads and persists.
+    done: [usize; 3],
     /// Violations detected while dispatching (illegal messages).
     dispatch_violations: Vec<Violation>,
 }
 
-impl BSystem {
+const WRITES: usize = 0;
+const READS: usize = 1;
+const PERSISTS: usize = 2;
+
+impl<P: Protocol> McSystem<P> {
     fn new(model: DdpModel, w: &Workload) -> Self {
-        Self::with_snatch(model, w, true)
-    }
-
-    fn with_snatch(model: DdpModel, w: &Workload, snatch: bool) -> Self {
-        Self::with_options(model, w, snatch, None)
-    }
-
-    fn with_options(model: DdpModel, w: &Workload, snatch: bool, replication: Option<u16>) -> Self {
-        let engines = (0..w.nodes)
-            .map(|i| {
-                let mut e = NodeEngine::new(NodeId(i as u16), w.nodes, model);
-                e.set_snatch_enabled(snatch);
-                e.set_replication_factor(replication);
-                e
-            })
-            .collect();
-        let mut sys = BSystem {
+        let mut sys = McSystem {
             model,
-            engines,
+            engines: (0..w.nodes)
+                .map(|i| P::engine(NodeId(i as u16), w.nodes, model))
+                .collect(),
             inflight: Vec::new(),
             staged: Vec::new(),
-            expected_writes: 0,
-            expected_reads: 0,
-            expected_persists: 0,
-            writes_done: 0,
-            reads_done: 0,
-            persists_done: 0,
+            expected: [0; 3],
+            done: [0; 3],
             dispatch_violations: Vec::new(),
         };
         for (i, op) in w.ops.iter().enumerate() {
@@ -70,23 +57,16 @@ impl BSystem {
                     value,
                     scope,
                 } => {
-                    sys.expected_writes += 1;
-                    sys.inflight.push((
-                        node,
-                        Event::ClientWrite {
-                            key,
-                            value,
-                            scope,
-                            req,
-                        },
-                    ));
+                    sys.expected[WRITES] += 1;
+                    sys.inflight
+                        .push((node, P::client_write(key, value, scope, req)));
                 }
                 McOp::Read { node, key } => {
-                    sys.expected_reads += 1;
-                    sys.inflight.push((node, Event::ClientRead { key, req }));
+                    sys.expected[READS] += 1;
+                    sys.inflight.push((node, P::client_read(key, req)));
                 }
                 McOp::PersistScope { node, scope } => {
-                    sys.expected_persists += 1;
+                    sys.expected[PERSISTS] += 1;
                     sys.staged.push((node, scope, req));
                 }
             }
@@ -94,9 +74,12 @@ impl BSystem {
         sys
     }
 
+    fn keys(&self) -> BTreeSet<Key> {
+        self.engines.iter().flat_map(Engine::keys).collect()
+    }
+
     fn views(&self) -> Vec<NodeView> {
-        let keys: std::collections::BTreeSet<_> =
-            self.engines.iter().flat_map(|e| e.keys()).collect();
+        let keys = self.keys();
         self.engines
             .iter()
             .map(|e| NodeView {
@@ -115,21 +98,36 @@ impl BSystem {
     }
 }
 
-/// Dispatch handler for one model-checker transition: messages become
-/// deliverable in-flight events (every interleaving of which is
-/// explored), and each send is audited against the Table I condition 4a
-/// legal message set for the model under check.
-struct McBHandler<'a> {
-    model: DdpModel,
-    node: NodeId,
-    inflight: &'a mut Vec<(NodeId, Event)>,
-    violations: &'a mut Vec<Violation>,
-    writes_done: &'a mut usize,
-    reads_done: &'a mut usize,
-    persists_done: &'a mut usize,
+impl McSystem<Baseline> {
+    /// MINOS-B with its two ablation knobs: RDLock snatching and the
+    /// partial-replication factor. Every MINOS-B check goes through
+    /// here, defaults included: the setters mark the engines dirty,
+    /// which is part of the state fingerprint, so skipping them would
+    /// shift the explored-state counts the verification tests pin.
+    fn with_options(model: DdpModel, w: &Workload, snatch: bool, replication: Option<u16>) -> Self {
+        let mut sys = Self::new(model, w);
+        for e in &mut sys.engines {
+            e.set_snatch_enabled(snatch);
+            e.set_replication_factor(replication);
+        }
+        sys
+    }
 }
 
-impl McBHandler<'_> {
+/// Dispatch handler for one model-checker transition: every effect —
+/// messages, persists, PCIe descriptors, FIFO drains, deferrals —
+/// becomes a deliverable in-flight event (every interleaving of which is
+/// explored), and each send is audited against the Table I condition 4a
+/// legal message set for the model under check.
+pub(crate) struct McHandler<'a, P: Protocol> {
+    model: DdpModel,
+    node: NodeId,
+    inflight: &'a mut Vec<(NodeId, P::Event)>,
+    violations: &'a mut Vec<Violation>,
+    done: &'a mut [usize; 3],
+}
+
+impl<P: Protocol> McHandler<'_, P> {
     fn audit(&mut self, msg: &Message, verb: &str) {
         if !legal_message(self.model, msg) {
             self.violations.push(Violation {
@@ -138,38 +136,31 @@ impl McBHandler<'_> {
             });
         }
     }
+
+    /// Makes `event` deliverable at this node.
+    fn local(&mut self, event: P::Event) {
+        self.inflight.push((self.node, event));
+    }
 }
 
-impl Transport for McBHandler<'_> {
+impl<P: Protocol> Transport for McHandler<'_, P> {
     fn send(&mut self, to: NodeId, msg: Message) {
         self.audit(&msg, "sent");
-        self.inflight.push((
-            to,
-            Event::Message {
-                from: self.node,
-                msg,
-            },
-        ));
+        self.inflight.push((to, P::net_message(self.node, msg)));
     }
 
     fn broadcast(&mut self, dests: &[NodeId], msg: Message) {
         self.audit(&msg, "fanned out");
         for &to in dests {
-            self.inflight.push((
-                to,
-                Event::Message {
-                    from: self.node,
-                    msg: msg.clone(),
-                },
-            ));
+            self.inflight
+                .push((to, P::net_message(self.node, msg.clone())));
         }
     }
 }
 
-impl ActionSink for McBHandler<'_> {
+impl ActionSink for McHandler<'_, Baseline> {
     fn persist(&mut self, key: Key, ts: Ts, _value: Value, _background: bool) {
-        self.inflight
-            .push((self.node, Event::PersistDone { key, ts }));
+        self.local(Event::PersistDone { key, ts });
     }
 
     fn redirect(&mut self, to: NodeId, event: Event) {
@@ -177,23 +168,76 @@ impl ActionSink for McBHandler<'_> {
     }
 
     fn defer(&mut self, event: Event, _class: DelayClass) {
-        self.inflight.push((self.node, event));
+        self.local(event);
     }
 
     fn write_done(&mut self, _req: ReqId, _key: Key, _ts: Ts, _obsolete: bool) {
-        *self.writes_done += 1;
+        self.done[WRITES] += 1;
     }
 
     fn read_done(&mut self, _req: ReqId, _key: Key, _value: Value, _ts: Ts) {
-        *self.reads_done += 1;
+        self.done[READS] += 1;
     }
 
     fn persist_scope_done(&mut self, _req: ReqId, _scope: ScopeId) {
-        *self.persists_done += 1;
+        self.done[PERSISTS] += 1;
     }
 }
 
-impl System for BSystem {
+impl OSink for McHandler<'_, Offload> {
+    fn pcie(&mut self, from: Side, msg: PcieMsg) {
+        self.local(match from {
+            Side::Host => OEvent::PcieFromHost(msg),
+            Side::Snic => OEvent::PcieFromSnic(msg),
+        });
+    }
+
+    fn vfifo_enqueue(&mut self, key: Key, ts: Ts, _bytes: u64) {
+        self.local(OEvent::VfifoDrained { key, ts });
+    }
+
+    fn dfifo_enqueue(&mut self, key: Key, ts: Ts, _bytes: u64) {
+        self.local(OEvent::DfifoDrained { key, ts });
+    }
+
+    fn defer(&mut self, event: OEvent) {
+        self.local(event);
+    }
+
+    fn write_done(&mut self, _req: ReqId, _key: Key, _ts: Ts, _obsolete: bool) {
+        self.done[WRITES] += 1;
+    }
+
+    fn read_done(&mut self, _req: ReqId, _key: Key, _value: Value, _ts: Ts) {
+        self.done[READS] += 1;
+    }
+
+    fn persist_scope_done(&mut self, _req: ReqId, _scope: ScopeId) {
+        self.done[PERSISTS] += 1;
+    }
+}
+
+/// A [`Protocol`] the checker can step: the one place where
+/// [`McSystem`] must know which sink its handler implements.
+pub(crate) trait McProtocol: Protocol {
+    fn dispatch(engine: &mut Self::Engine, event: Self::Event, handler: &mut McHandler<'_, Self>);
+}
+
+impl McProtocol for Baseline {
+    fn dispatch(engine: &mut Self::Engine, event: Event, handler: &mut McHandler<'_, Self>) {
+        // A fresh interpreter per transition: the checker explores a tree
+        // of cloned states, so cumulative statistics are meaningless.
+        Interpreter::<Self>::new().dispatch(engine, event, handler);
+    }
+}
+
+impl McProtocol for Offload {
+    fn dispatch(engine: &mut Self::Engine, event: OEvent, handler: &mut McHandler<'_, Self>) {
+        Interpreter::<Self>::new().dispatch(engine, event, handler);
+    }
+}
+
+impl<P: McProtocol> System for McSystem<P> {
     fn deliverable(&self) -> usize {
         self.inflight.len()
     }
@@ -201,24 +245,19 @@ impl System for BSystem {
     fn deliver(&self, i: usize) -> Self {
         let mut next = self.clone();
         let (node, ev) = next.inflight.remove(i);
-        // A fresh dispatcher per transition: the checker explores a tree
-        // of cloned states, so cumulative statistics are meaningless.
-        let mut dispatcher = Dispatcher::new();
-        let mut handler = McBHandler {
+        let mut handler = McHandler {
             model: next.model,
             node,
             inflight: &mut next.inflight,
             violations: &mut next.dispatch_violations,
-            writes_done: &mut next.writes_done,
-            reads_done: &mut next.reads_done,
-            persists_done: &mut next.persists_done,
+            done: &mut next.done,
         };
-        dispatcher.dispatch(&mut next.engines[node.0 as usize], ev, &mut handler);
+        P::dispatch(&mut next.engines[node.0 as usize], ev, &mut handler);
         // Clients issue [PERSIST]sc only after their writes returned.
-        if next.writes_done == next.expected_writes && !next.staged.is_empty() {
+        if next.done[WRITES] == next.expected[WRITES] && !next.staged.is_empty() {
             for (node, scope, req) in std::mem::take(&mut next.staged) {
                 next.inflight
-                    .push((node, Event::ClientPersistScope { scope, req }));
+                    .push((node, P::client_persist_scope(scope, req)));
             }
         }
         next
@@ -239,9 +278,9 @@ impl System for BSystem {
             h.write(p.as_bytes());
         }
         hash_debug(&mut h, &self.staged);
-        h.write_usize(self.writes_done);
-        h.write_usize(self.reads_done);
-        h.write_usize(self.persists_done);
+        for n in self.done {
+            h.write_usize(n);
+        }
         h.finish()
     }
 
@@ -267,35 +306,29 @@ impl System for BSystem {
                 });
             }
         }
-        if self.writes_done != self.expected_writes
-            || self.reads_done != self.expected_reads
-            || self.persists_done != self.expected_persists
-        {
+        if self.done != self.expected {
             out.push(Violation {
                 condition: "1 completion".into(),
                 detail: format!(
                     "terminal state completed {}/{} writes, {}/{} reads, {}/{} persists",
-                    self.writes_done,
-                    self.expected_writes,
-                    self.reads_done,
-                    self.expected_reads,
-                    self.persists_done,
-                    self.expected_persists
+                    self.done[WRITES],
+                    self.expected[WRITES],
+                    self.done[READS],
+                    self.expected[READS],
+                    self.done[PERSISTS],
+                    self.expected[PERSISTS]
                 ),
             });
         }
         // Replica convergence: every record equal across its replicas.
-        let keys: std::collections::BTreeSet<_> =
-            self.engines.iter().flat_map(|e| e.keys()).collect();
-        for key in keys {
-            let values: Vec<_> = self
+        for key in self.keys() {
+            let mut values = self
                 .engines
                 .iter()
                 .filter(|e| e.is_replica(key))
-                .map(|e| (e.node(), e.record_value(key)))
-                .collect();
-            if let Some((_, v0)) = values.first() {
-                for (n, v) in &values[1..] {
+                .map(|e| (e.node(), e.record_value(key)));
+            if let Some((_, v0)) = values.next() {
+                for (n, v) in values {
                     if v != v0 {
                         out.push(Violation {
                             condition: "terminal replica convergence".into(),
@@ -312,7 +345,10 @@ impl System for BSystem {
 /// `max_states` distinct states.
 #[must_use]
 pub fn check_baseline(model: DdpModel, workload: &Workload, max_states: usize) -> McReport {
-    explore(BSystem::new(model, workload), max_states)
+    explore(
+        McSystem::<Baseline>::with_options(model, workload, true, None),
+        max_states,
+    )
 }
 
 /// Model-checks the partial-replication extension: each record lives on
@@ -326,7 +362,7 @@ pub fn check_baseline_replicated(
     max_states: usize,
 ) -> McReport {
     explore(
-        BSystem::with_options(model, workload, true, Some(k)),
+        McSystem::<Baseline>::with_options(model, workload, true, Some(k)),
         max_states,
     )
 }
@@ -341,5 +377,15 @@ pub fn check_baseline_no_snatch(
     workload: &Workload,
     max_states: usize,
 ) -> McReport {
-    explore(BSystem::with_snatch(model, workload, false), max_states)
+    explore(
+        McSystem::<Baseline>::with_options(model, workload, false, None),
+        max_states,
+    )
+}
+
+/// Model-checks MINOS-O under `model` on `workload`, exploring up to
+/// `max_states` distinct states.
+#[must_use]
+pub fn check_offload(model: DdpModel, workload: &Workload, max_states: usize) -> McReport {
+    explore(McSystem::<Offload>::new(model, workload), max_states)
 }

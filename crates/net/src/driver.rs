@@ -7,11 +7,11 @@
 //! reduced drive.
 
 use crate::arch::Arch;
-use crate::bsim::BSim;
-use crate::osim::OSim;
+use crate::sim::{BSim, CostModel, Sim};
 use minos_core::obs::{
     analyze, Category, GaugeSet, HistogramSet, MetricsSink, RingRecorder, SharedSink,
 };
+use minos_core::runtime::{Baseline, Offload};
 use minos_core::ReqId;
 use minos_sim::{LatencyStats, Time};
 use minos_types::{DdpModel, Key, NodeId, PersistencyModel, ScopeId, ShardMap, SimConfig, Value};
@@ -113,116 +113,16 @@ fn ops_per_sec(ops: u64, makespan: Time) -> f64 {
     ops as f64 * 1e9 / makespan as f64
 }
 
-/// Either simulation behind one interface.
-enum SimBox {
-    B(Box<BSim>),
-    O(Box<OSim>),
-}
-
-impl SimBox {
-    fn new(arch: Arch, cfg: &SimConfig, model: DdpModel) -> Self {
-        SimBox::with_placement(arch, cfg, model, None)
-    }
-
-    /// Builds the simulation, sharded over `placement` when given.
-    fn with_placement(
-        arch: Arch,
-        cfg: &SimConfig,
-        model: DdpModel,
-        placement: Option<&ShardMap>,
-    ) -> Self {
-        match (arch.offload, placement) {
-            (true, Some(map)) => SimBox::O(Box::new(OSim::with_placement(
-                cfg.clone(),
-                arch,
-                model,
-                map.clone(),
-            ))),
-            (true, None) => SimBox::O(Box::new(OSim::new(cfg.clone(), arch, model))),
-            (false, Some(map)) => SimBox::B(Box::new(BSim::with_placement(
-                cfg.clone(),
-                arch,
-                model,
-                map.clone(),
-            ))),
-            (false, None) => SimBox::B(Box::new(BSim::new(cfg.clone(), arch, model))),
-        }
-    }
-
-    fn submit_write(
-        &mut self,
-        at: Time,
-        node: NodeId,
-        key: Key,
-        value: Value,
-        scope: Option<ScopeId>,
-    ) -> ReqId {
-        match self {
-            SimBox::B(s) => s.submit_write(at, node, key, value, scope),
-            SimBox::O(s) => s.submit_write(at, node, key, value, scope),
-        }
-    }
-
-    fn submit_read(&mut self, at: Time, node: NodeId, key: Key) -> ReqId {
-        match self {
-            SimBox::B(s) => s.submit_read(at, node, key),
-            SimBox::O(s) => s.submit_read(at, node, key),
-        }
-    }
-
-    fn submit_write_multi(
-        &mut self,
-        at: Time,
-        node: NodeId,
-        writes: Vec<(Key, Value)>,
-        scope: Option<ScopeId>,
-    ) -> ReqId {
-        match self {
-            SimBox::B(s) => s.submit_write_multi(at, node, writes, scope),
-            SimBox::O(s) => s.submit_write_multi(at, node, writes, scope),
-        }
-    }
-
-    fn submit_persist_scope(&mut self, at: Time, node: NodeId, scope: ScopeId) -> ReqId {
-        match self {
-            SimBox::B(s) => s.submit_persist_scope(at, node, scope),
-            SimBox::O(s) => s.submit_persist_scope(at, node, scope),
-        }
-    }
-
-    fn step(&mut self) -> bool {
-        match self {
-            SimBox::B(s) => s.step(),
-            SimBox::O(s) => s.step(),
-        }
-    }
-
-    fn drain_completions(&mut self) -> Vec<CompletionRec> {
-        match self {
-            SimBox::B(s) => s.drain_completions(),
-            SimBox::O(s) => s.drain_completions(),
-        }
-    }
-
-    fn attach_tracer(&mut self, sinks: Vec<SharedSink>) {
-        match self {
-            SimBox::B(s) => s.attach_tracer(sinks),
-            SimBox::O(s) => s.attach_tracer(sinks),
-        }
-    }
-
-    fn gauges(&self) -> &GaugeSet {
-        match self {
-            SimBox::B(s) => s.gauges(),
-            SimBox::O(s) => s.gauges(),
-        }
-    }
-
-    fn events(&self) -> u64 {
-        match self {
-            SimBox::B(s) => s.events_processed(),
-            SimBox::O(s) => s.events_processed(),
-        }
+/// Builds the simulation of `arch`, sharded over `placement` when given.
+fn build<P: CostModel>(
+    arch: Arch,
+    cfg: &SimConfig,
+    model: DdpModel,
+    placement: Option<&ShardMap>,
+) -> Sim<P> {
+    match placement {
+        Some(map) => Sim::with_placement(cfg.clone(), arch, model, map.clone()),
+        None => Sim::new(cfg.clone(), arch, model),
     }
 }
 
@@ -279,8 +179,26 @@ pub fn run_with_clients(
     seed: u64,
     clients_per_node: usize,
 ) -> RunResult {
-    let mut sim = SimBox::new(arch, cfg, model);
-    run_on(&mut sim, arch, cfg, model, spec, seed, clients_per_node)
+    run_placed(arch, cfg, model, spec, seed, clients_per_node, None)
+}
+
+/// The closed-loop run on the simulation `arch` selects.
+fn run_placed(
+    arch: Arch,
+    cfg: &SimConfig,
+    model: DdpModel,
+    spec: &WorkloadSpec,
+    seed: u64,
+    clients_per_node: usize,
+    placement: Option<&ShardMap>,
+) -> RunResult {
+    if arch.offload {
+        let mut sim = build::<Offload>(arch, cfg, model, placement);
+        run_on(&mut sim, arch, cfg, model, spec, seed, clients_per_node)
+    } else {
+        let mut sim = build::<Baseline>(arch, cfg, model, placement);
+        run_on(&mut sim, arch, cfg, model, spec, seed, clients_per_node)
+    }
 }
 
 /// [`run_with_clients`] on a sharded cluster: one simulation hosts every
@@ -297,8 +215,7 @@ pub fn run_sharded(
     clients_per_node: usize,
     map: &ShardMap,
 ) -> RunResult {
-    let mut sim = SimBox::with_placement(arch, cfg, model, Some(map));
-    run_on(&mut sim, arch, cfg, model, spec, seed, clients_per_node)
+    run_placed(arch, cfg, model, spec, seed, clients_per_node, Some(map))
 }
 
 /// MINOS-B with the RDLock-snatching optimization of §III-A disabled —
@@ -313,11 +230,10 @@ pub fn run_b_snatch_ablation(
     seed: u64,
     snatch: bool,
 ) -> RunResult {
-    let mut b = BSim::new(cfg.clone(), Arch::baseline(), model);
+    let mut sim = BSim::new(cfg.clone(), Arch::baseline(), model);
     if !snatch {
-        b.disable_snatching();
+        sim.disable_snatching();
     }
-    let mut sim = SimBox::B(Box::new(b));
     run_on(
         &mut sim,
         Arch::baseline(),
@@ -413,9 +329,28 @@ fn run_observed_with_placement(
     trace_capacity: usize,
     placement: Option<&ShardMap>,
 ) -> ObservedRun {
+    let (n, cap) = (clients_per_node, trace_capacity);
+    if arch.offload {
+        observed_on::<Offload>(arch, cfg, model, spec, seed, n, cap, placement)
+    } else {
+        observed_on::<Baseline>(arch, cfg, model, spec, seed, n, cap, placement)
+    }
+}
+
+#[allow(clippy::too_many_arguments)]
+fn observed_on<P: CostModel>(
+    arch: Arch,
+    cfg: &SimConfig,
+    model: DdpModel,
+    spec: &WorkloadSpec,
+    seed: u64,
+    clients_per_node: usize,
+    trace_capacity: usize,
+    placement: Option<&ShardMap>,
+) -> ObservedRun {
     use std::sync::{Arc, Mutex};
 
-    let mut sim = SimBox::with_placement(arch, cfg, model, placement);
+    let mut sim = build::<P>(arch, cfg, model, placement);
     let (msink, hists) = MetricsSink::new(model.persistency);
     let ring = Arc::new(Mutex::new(RingRecorder::new(trace_capacity.max(1))));
     let ring_sink: SharedSink = ring.clone();
@@ -442,8 +377,8 @@ fn run_observed_with_placement(
     }
 }
 
-fn run_on(
-    sim: &mut SimBox,
+fn run_on<P: CostModel>(
+    sim: &mut Sim<P>,
     arch_label: Arch,
     cfg: &SimConfig,
     model: DdpModel,
@@ -527,8 +462,8 @@ fn run_on(
 }
 
 /// Submits the client's next operation (or its pending `[PERSIST]sc`).
-fn submit_next(
-    sim: &mut SimBox,
+fn submit_next<P: CostModel>(
+    sim: &mut Sim<P>,
     clients: &mut [Client],
     idx: usize,
     at: Time,
@@ -611,13 +546,27 @@ pub fn run_deathstar(
     app: App,
     logins_per_node: usize,
 ) -> DeathstarResult {
+    if arch.offload {
+        deathstar_on::<Offload>(arch, cfg, model, app, logins_per_node)
+    } else {
+        deathstar_on::<Baseline>(arch, cfg, model, app, logins_per_node)
+    }
+}
+
+fn deathstar_on<P: CostModel>(
+    arch: Arch,
+    cfg: &SimConfig,
+    model: DdpModel,
+    app: App,
+    logins_per_node: usize,
+) -> DeathstarResult {
     // The per-op client hop is charged explicitly below; replication
     // messages inside a write use the plain link latencies.
     let op_rtt = cfg.datacenter_rtt_ns;
     let mut cfg = cfg.clone();
     cfg.datacenter_rtt_ns = 0;
     let cfg = &cfg;
-    let mut sim = SimBox::new(arch, cfg, model);
+    let mut sim = build::<P>(arch, cfg, model, None);
     let scoped = model.persistency == PersistencyModel::Scope;
 
     // Per-node login chains: each node executes its logins sequentially,
@@ -662,8 +611,8 @@ pub fn run_deathstar(
     let mut login_lat = LatencyStats::new();
 
     #[allow(clippy::too_many_arguments)]
-    fn submit_chain_op(
-        sim: &mut SimBox,
+    fn submit_chain_op<P: CostModel>(
+        sim: &mut Sim<P>,
         chains: &mut [Chain],
         ci: usize,
         done_at: Time,
@@ -984,16 +933,21 @@ pub fn run_open_loop(
         let replicas = u16::try_from((cfg.nodes / 2).max(1)).expect("node count fits u16");
         ShardMap::uniform(2, cfg.nodes, replicas)
     });
-    let mut sim = SimBox::with_placement(arch, &cfg, model, placement.as_ref());
     let schedule = spec.schedule(seed);
-    open_loop_replay(&mut sim, arch, model, spec, schedule, cfg.nodes)
+    if arch.offload {
+        let mut sim = build::<Offload>(arch, &cfg, model, placement.as_ref());
+        open_loop_replay(&mut sim, arch, model, spec, schedule, cfg.nodes)
+    } else {
+        let mut sim = build::<Baseline>(arch, &cfg, model, placement.as_ref());
+        open_loop_replay(&mut sim, arch, model, spec, schedule, cfg.nodes)
+    }
 }
 
 /// The open-loop replay core: submits `schedule` against a prepared
 /// simulation and runs it dry. Shared by [`run_open_loop`] and the
 /// [`ParMode::Single`] arm of [`run_open_loop_sharded`].
-fn open_loop_replay(
-    sim: &mut SimBox,
+fn open_loop_replay<P: CostModel>(
+    sim: &mut Sim<P>,
     arch: Arch,
     model: DdpModel,
     spec: &OpenLoopSpec,
@@ -1260,7 +1214,7 @@ struct GroupOut {
 }
 
 /// Replays one group's legs on its own full-cluster simulation.
-fn run_group(
+fn run_group<P: CostModel>(
     arch: Arch,
     cfg: &SimConfig,
     model: DdpModel,
@@ -1268,7 +1222,7 @@ fn run_group(
     subs: Vec<SubArrival>,
     sinks: Option<Vec<SharedSink>>,
 ) -> GroupOut {
-    let mut sim = SimBox::with_placement(arch, cfg, model, Some(map));
+    let mut sim = build::<P>(arch, cfg, model, Some(map));
     if let Some(sinks) = sinks {
         sim.attach_tracer(sinks);
     }
@@ -1315,7 +1269,7 @@ fn run_group(
     }
     GroupOut {
         done,
-        events: sim.events(),
+        events: sim.events_processed(),
     }
 }
 
@@ -1365,6 +1319,24 @@ pub fn run_open_loop_sharded_traced(
     mode: ParMode,
     sinks_for: Option<&(dyn Fn(u32) -> Vec<SharedSink> + Sync)>,
 ) -> ShardedOpenLoop {
+    if arch.offload {
+        open_loop_sharded_on::<Offload>(arch, cfg, model, spec, seed, map, mode, sinks_for)
+    } else {
+        open_loop_sharded_on::<Baseline>(arch, cfg, model, spec, seed, map, mode, sinks_for)
+    }
+}
+
+#[allow(clippy::too_many_arguments)]
+fn open_loop_sharded_on<P: CostModel>(
+    arch: Arch,
+    cfg: &SimConfig,
+    model: DdpModel,
+    spec: &OpenLoopSpec,
+    seed: u64,
+    map: &ShardMap,
+    mode: ParMode,
+    sinks_for: Option<&(dyn Fn(u32) -> Vec<SharedSink> + Sync)>,
+) -> ShardedOpenLoop {
     assert_eq!(map.n_nodes(), cfg.nodes, "placement/config node mismatch");
     let mut cfg = cfg.clone();
     if let Some(rtt) = spec.scenario.wan_rtt_ns() {
@@ -1373,14 +1345,14 @@ pub fn run_open_loop_sharded_traced(
     let schedule = spec.schedule(seed);
 
     if mode == ParMode::Single {
-        let mut sim = SimBox::with_placement(arch, &cfg, model, Some(map));
+        let mut sim = build::<P>(arch, &cfg, model, Some(map));
         if let Some(f) = sinks_for {
             sim.attach_tracer(f(0));
         }
         let result = open_loop_replay(&mut sim, arch, model, spec, schedule, cfg.nodes);
         return ShardedOpenLoop {
             result,
-            events: sim.events(),
+            events: sim.events_processed(),
         };
     }
 
@@ -1399,7 +1371,7 @@ pub fn run_open_loop_sharded_traced(
         ParMode::Sequential => subs
             .into_iter()
             .enumerate()
-            .map(|(g, s)| run_group(arch, &cfg, model, map, s, sinks_for.map(|f| f(g as u32))))
+            .map(|(g, s)| run_group::<P>(arch, &cfg, model, map, s, sinks_for.map(|f| f(g as u32))))
             .collect(),
         ParMode::Parallel => {
             let cfg = &cfg;
@@ -1409,7 +1381,7 @@ pub fn run_open_loop_sharded_traced(
                     .enumerate()
                     .map(|(g, s)| {
                         scope.spawn(move || {
-                            run_group(arch, cfg, model, map, s, sinks_for.map(|f| f(g as u32)))
+                            run_group::<P>(arch, cfg, model, map, s, sinks_for.map(|f| f(g as u32)))
                         })
                     })
                     .collect();

@@ -3,11 +3,12 @@
 //! This crate drives the `minos-core` protocol engines from a
 //! discrete-event simulation with the paper's Table III latency model:
 //!
-//! * [`BSim`] — MINOS-B nodes: protocol on the host CPU, every message
-//!   crossing the PCIe bus to a plain NIC;
-//! * [`OSim`] — MINOS-O nodes: protocol offloaded to a SmartNIC with
-//!   selective host/NIC coherence, vFIFO/dFIFO queues, batching, and
-//!   broadcast;
+//! * [`Sim`] — the discrete-event frame, written once over a
+//!   [`CostModel`]: [`BSim`] (`Sim<Baseline>`) is MINOS-B — protocol on
+//!   the host CPU, every message crossing the PCIe bus to a plain NIC;
+//!   [`OSim`] (`Sim<Offload>`) is MINOS-O — protocol offloaded to a
+//!   SmartNIC with selective host/NIC coherence, vFIFO/dFIFO queues,
+//!   batching, and broadcast;
 //! * [`Arch`] — the seven architecture points of the Figure 12 ablation
 //!   (baseline/offload × batching × broadcast);
 //! * [`driver`] — the closed-loop workload driver producing the
@@ -40,18 +41,18 @@
 #![warn(missing_docs)]
 
 mod arch;
-mod bsim;
+mod baseline;
 pub mod driver;
-mod osim;
+mod offload;
+mod sim;
 mod timing;
 
 pub use arch::Arch;
-pub use bsim::BSim;
 pub use driver::{
     run_observed, run_observed_sharded, run_open_loop, run_open_loop_sharded,
     run_open_loop_sharded_traced, run_rolling_restart, run_sharded, run_slo_curve,
     run_with_clients, AvailabilityRun, CompletionKind, CompletionRec, ObservedRun, OpenLoopResult,
     ParMode, RunResult, ShardedOpenLoop,
 };
-pub use osim::OSim;
+pub use sim::{BSim, CostModel, OSim, Sim};
 pub use timing::{catchup_ns, meta_cost};

@@ -2,8 +2,9 @@
 //! frames to dead nodes, catch-up cost, and the rolling-restart
 //! availability experiment.
 
-use minos_net::{driver, Arch, BSim, OSim};
-use minos_types::{DdpModel, Key, NodeId, PersistencyModel, SimConfig};
+use minos_core::runtime::{Baseline, Engine, Offload};
+use minos_net::{driver, Arch, BSim, CostModel, OSim, Sim};
+use minos_types::{DdpModel, Key, NodeId, NodeState, PersistencyModel, SimConfig};
 
 fn synch() -> DdpModel {
     DdpModel::lin(PersistencyModel::Synchronous)
@@ -98,6 +99,48 @@ fn osim_quiesced_crash_rejoin_restores_state() {
         .filter(|r| r.kind == minos_net::CompletionKind::Write)
         .count();
     assert_eq!(writes, 2);
+}
+
+/// A second crash landing inside a node's catch-up window abandons the
+/// rejoin: the pending re-admittance is cancelled (it used to panic, or
+/// could re-admit the node before a later rejoin's transfer elapsed),
+/// the node stays down at the same epoch, and a later rejoin brings it
+/// back whole.
+fn crash_inside_the_catch_up_window_abandons_the_rejoin<P: CostModel>(arch: Arch) {
+    let n2 = NodeId(2);
+    let mut sim = Sim::<P>::new(SimConfig::paper_defaults(), arch, synch());
+    for k in 0..64u64 {
+        sim.submit_write(0, NodeId(0), Key(k), vec![0u8; 1024].into(), None);
+    }
+    sim.schedule_crash(1_000_000, n2);
+    sim.schedule_rejoin(4_000_000, n2, NodeId(0));
+    sim.schedule_crash(4_000_001, n2);
+    sim.run_to_idle();
+    assert_eq!(sim.membership().state(n2).unwrap(), NodeState::Down);
+    assert_eq!(sim.view_epoch(), 2, "an aborted catch-up burns no epoch");
+    assert!(
+        sim.engine(n2).keys().is_empty(),
+        "the second crash lost the donor copy again"
+    );
+
+    let again = sim.now() + 1_000;
+    sim.schedule_rejoin(again, n2, NodeId(0));
+    sim.run_to_idle();
+    assert!(sim.membership().is_serving(n2));
+    assert_eq!(sim.view_epoch(), 3);
+    assert_eq!(sim.engine(n2).keys().len(), 64, "all records caught up");
+    // Re-admitted only after this rejoin's own transfer time.
+    let granted = sim.membership().lease_expiry(n2).unwrap() - sim.membership().lease_ns();
+    assert!(
+        granted > again,
+        "re-admitted at {granted}, rejoin began {again}"
+    );
+}
+
+#[test]
+fn crash_inside_the_catch_up_window_abandons_the_rejoin_on_both_protocols() {
+    crash_inside_the_catch_up_window_abandons_the_rejoin::<Baseline>(Arch::baseline());
+    crash_inside_the_catch_up_window_abandons_the_rejoin::<Offload>(Arch::minos_o());
 }
 
 #[test]

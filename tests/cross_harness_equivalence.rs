@@ -2,11 +2,14 @@
 //! discrete-event simulator, threaded cluster, model checker). These tests
 //! pin down that the harnesses agree on protocol outcomes.
 
+use minos::check::HistoryRecorder;
 use minos::cluster::Cluster;
-use minos::core::loopback::{BCluster, OCluster};
+use minos::core::loopback::{BCluster, LoopProtocol, Loopback, OCluster};
+use minos::core::obs::{shared, OpKind, RingRecorder, SharedSink};
+use minos::core::runtime::{Baseline, Engine, Offload};
 use minos::kv::hash_key;
 use minos::mc::{check_baseline, check_offload, Workload};
-use minos::net::{Arch, BSim, CompletionKind, OSim};
+use minos::net::{Arch, BSim, CompletionKind, CostModel, OSim, Sim};
 use minos::types::{
     ClusterConfig, DdpModel, Key, NodeId, PersistencyModel, ScopeId, ShardMap, SimConfig, Ts, Value,
 };
@@ -16,57 +19,44 @@ fn all_models() -> [DdpModel; 5] {
     DdpModel::all_lin()
 }
 
-#[test]
-fn loopback_and_simulator_converge_identically_for_b() {
+/// Two concurrent conflicting writes, submitted identically at nodes
+/// `a` and `b` of an `n`-node loopback cluster and DES: both harnesses
+/// must converge to the same winner (read back at `observer`) — the
+/// timestamp order is protocol-determined, not harness-determined.
+fn loopback_and_simulator_converge_identically<P: LoopProtocol + CostModel>(
+    arch: Arch,
+    n: usize,
+    [a, b, observer]: [NodeId; 3],
+) {
     for model in all_models() {
         if model.persistency == PersistencyModel::Scope {
             continue;
         }
         let key = hash_key("x");
-        let mut loopback = BCluster::new(4, model);
-        let mut sim = BSim::new(
-            SimConfig::paper_defaults().with_nodes(4),
-            Arch::baseline(),
-            model,
-        );
-        // Two concurrent conflicting writes, submitted identically.
-        loopback.submit_write(NodeId(1), key, "a".into(), None);
-        loopback.submit_write(NodeId(3), key, "b".into(), None);
-        sim.submit_write(0, NodeId(1), key, "a".into(), None);
-        sim.submit_write(0, NodeId(3), key, "b".into(), None);
+        let mut loopback = Loopback::<P>::new(n, model);
+        let mut sim = Sim::<P>::new(SimConfig::paper_defaults().with_nodes(n), arch, model);
+        loopback.submit_write(a, key, "a".into(), None);
+        loopback.submit_write(b, key, "b".into(), None);
+        sim.submit_write(0, a, key, "a".into(), None);
+        sim.submit_write(0, b, key, "b".into(), None);
         loopback.run();
         sim.run_to_idle();
-        // Both harnesses must converge to the same winner: the timestamp
-        // order is protocol-determined, not harness-determined.
-        let lw = loopback.engine(NodeId(0)).record_value(key).unwrap();
-        let sw = sim.engine(NodeId(0)).record_value(key).unwrap();
+        let lw = loopback.engine(observer).record_value(key).unwrap();
+        let sw = sim.engine(observer).record_value(key).unwrap();
         assert_eq!(lw, sw, "{model}: harness-dependent winner");
     }
 }
 
 #[test]
+fn loopback_and_simulator_converge_identically_for_b() {
+    let nodes = [NodeId(1), NodeId(3), NodeId(0)];
+    loopback_and_simulator_converge_identically::<Baseline>(Arch::baseline(), 4, nodes);
+}
+
+#[test]
 fn loopback_and_simulator_converge_identically_for_o() {
-    for model in all_models() {
-        if model.persistency == PersistencyModel::Scope {
-            continue;
-        }
-        let key = hash_key("y");
-        let mut loopback = OCluster::new(3, model);
-        let mut sim = OSim::new(
-            SimConfig::paper_defaults().with_nodes(3),
-            Arch::minos_o(),
-            model,
-        );
-        loopback.submit_write(NodeId(0), key, "a".into(), None);
-        loopback.submit_write(NodeId(2), key, "b".into(), None);
-        sim.submit_write(0, NodeId(0), key, "a".into(), None);
-        sim.submit_write(0, NodeId(2), key, "b".into(), None);
-        loopback.run();
-        sim.run_to_idle();
-        let lw = loopback.engine(NodeId(1)).record_value(key).unwrap();
-        let sw = sim.engine(NodeId(1)).record_value(key).unwrap();
-        assert_eq!(lw, sw, "{model}");
-    }
+    let nodes = [NodeId(0), NodeId(2), NodeId(1)];
+    loopback_and_simulator_converge_identically::<Offload>(Arch::minos_o(), 3, nodes);
 }
 
 /// One step of the parity workload.
@@ -129,9 +119,9 @@ impl ParityTrace {
     }
 }
 
-fn loopback_trace(model: DdpModel, scoped: bool) -> ParityTrace {
+fn loopback_trace<P: LoopProtocol>(model: DdpModel, scoped: bool) -> ParityTrace {
     use minos::core::loopback::Completion;
-    let mut cl = BCluster::new(3, model);
+    let mut cl = Loopback::<P>::new(3, model);
     let mut trace = ParityTrace::default();
     let mut seen = 0;
     for op in parity_ops() {
@@ -172,12 +162,8 @@ fn loopback_trace(model: DdpModel, scoped: bool) -> ParityTrace {
     trace
 }
 
-fn simulator_trace(model: DdpModel, scoped: bool) -> ParityTrace {
-    let mut sim = BSim::new(
-        SimConfig::paper_defaults().with_nodes(3),
-        Arch::baseline(),
-        model,
-    );
+fn simulator_trace<P: CostModel>(arch: Arch, model: DdpModel, scoped: bool) -> ParityTrace {
+    let mut sim = Sim::<P>::new(SimConfig::paper_defaults().with_nodes(3), arch, model);
     let mut trace = ParityTrace::default();
     let mut t = 0;
     for op in parity_ops() {
@@ -437,12 +423,106 @@ fn dispatch_parity_across_loopback_threaded_and_simulator() {
     // persistency model.
     for model in all_models() {
         let scoped = model.persistency == PersistencyModel::Scope;
-        let lo = loopback_trace(model, scoped);
-        let sim = simulator_trace(model, scoped);
+        let lo = loopback_trace::<Baseline>(model, scoped);
+        let sim = simulator_trace::<Baseline>(Arch::baseline(), model, scoped);
         let th = threaded_trace(model, scoped);
         assert_eq!(lo, sim, "{model}: loopback vs simulator divergence");
         assert_eq!(lo, th, "{model}: loopback vs threaded divergence");
+        // MINOS-O has no live runtime yet: its leg is loopback vs DES.
+        let lo = loopback_trace::<Offload>(model, scoped);
+        let sim = simulator_trace::<Offload>(Arch::minos_o(), model, scoped);
+        assert_eq!(lo, sim, "{model}: MINOS-O loopback vs simulator divergence");
     }
+}
+
+/// The harness surface the crash/rejoin observer test needs, so one body
+/// runs on both frames of both protocols.
+trait CrashHarness {
+    fn build(model: DdpModel) -> Self;
+    fn attach(&mut self, sinks: Vec<SharedSink>);
+    /// Submits a write at `node` and runs to quiescence.
+    fn write(&mut self, node: NodeId, key: Key, value: &'static str);
+    /// Crashes `node`, rejoins it from `donor`, and runs to quiescence.
+    fn crash_and_rejoin(&mut self, node: NodeId, donor: NodeId);
+}
+
+impl<P: LoopProtocol> CrashHarness for Loopback<P> {
+    fn build(model: DdpModel) -> Self {
+        Loopback::new(3, model)
+    }
+    fn attach(&mut self, sinks: Vec<SharedSink>) {
+        self.attach_tracer(sinks);
+    }
+    fn write(&mut self, node: NodeId, key: Key, value: &'static str) {
+        self.submit_write(node, key, value.into(), None);
+        self.run();
+    }
+    fn crash_and_rejoin(&mut self, node: NodeId, donor: NodeId) {
+        self.crash_node(node);
+        self.rejoin_node(node, donor);
+    }
+}
+
+impl<P: CostModel> CrashHarness for Sim<P> {
+    fn build(model: DdpModel) -> Self {
+        let arch = if P::OFFLOAD {
+            Arch::minos_o()
+        } else {
+            Arch::baseline()
+        };
+        Sim::new(SimConfig::paper_defaults().with_nodes(3), arch, model)
+    }
+    fn attach(&mut self, sinks: Vec<SharedSink>) {
+        self.attach_tracer(sinks);
+    }
+    fn write(&mut self, node: NodeId, key: Key, value: &'static str) {
+        self.submit_write(self.now() + 1, node, key, value.into(), None);
+        self.run_to_idle();
+    }
+    fn crash_and_rejoin(&mut self, node: NodeId, donor: NodeId) {
+        self.schedule_crash(self.now() + 1_000, node);
+        self.schedule_rejoin(self.now() + 2_000, node, donor);
+        self.run_to_idle();
+    }
+}
+
+/// A crash loses the node's volatile state, not its observers: after a
+/// rejoin the node keeps emitting trace records, and a history recorder
+/// pairs the admit/complete of a write it coordinates.
+fn observers_survive_a_crash<H: CrashHarness>(what: &str) {
+    let n2 = NodeId(2);
+    let ring = shared(RingRecorder::new(4096));
+    let history = shared(HistoryRecorder::new());
+    let mut h = H::build(DdpModel::lin(PersistencyModel::Synchronous));
+    h.attach(vec![ring.clone(), history.clone()]);
+    let at_n2 = || {
+        let ring = ring.lock().unwrap();
+        ring.records().filter(|r| r.node == n2).count()
+    };
+
+    h.write(n2, Key(1), "before");
+    let before = at_n2();
+    assert!(before > 0, "{what}: node 2 traced its first write");
+    h.crash_and_rejoin(n2, NodeId(0));
+    h.write(n2, Key(1), "after");
+    assert!(
+        at_n2() > before,
+        "{what}: node 2 stopped tracing after its crash ({before} records before and after)"
+    );
+    let ops = history.lock().unwrap().snapshot().ops;
+    let writes_at_n2 = ops
+        .iter()
+        .filter(|op| op.node == n2 && op.kind == OpKind::Write && op.is_complete())
+        .count();
+    assert_eq!(writes_at_n2, 2, "{what}: both writes paired: {ops:?}");
+}
+
+#[test]
+fn observers_survive_a_crash_on_every_frame_of_both_protocols() {
+    observers_survive_a_crash::<BCluster>("loopback/b");
+    observers_survive_a_crash::<OCluster>("loopback/o");
+    observers_survive_a_crash::<BSim>("des/b");
+    observers_survive_a_crash::<OSim>("des/o");
 }
 
 #[test]
