@@ -54,6 +54,17 @@ cargo fmt --all -- --check
 echo "==> cargo clippy (-D warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> structure: one handler stack and one action sink for both live runtimes"
+# The threaded and TCP runtimes share `NodeCore` (crates/cluster/src/node.rs):
+# a second copy of the dispatch stack or of the sink is the twin growing back.
+for pat in 'Batched::new(' 'ChaosNet::new(' 'impl.* ActionSink for '; do
+    n=$(cat crates/cluster/src/*.rs | grep -c "$pat" || true)
+    if [ "$n" -gt 1 ]; then
+        echo "crates/cluster/src has $n x '$pat' (at most 1 allowed): build on NodeCore/Port instead" >&2
+        exit 1
+    fi
+done
+
 echo "==> cargo doc (-D warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
 

@@ -252,6 +252,50 @@ impl Cluster {
         self.wait(node, req, &rx)
     }
 
+    /// One control-plane round-trip with `node`'s thread: sends the
+    /// message `build` makes around a reply channel and waits (10 s) for
+    /// the answer.
+    fn ask<T>(&self, node: NodeId, build: impl FnOnce(Sender<T>) -> NodeMsg) -> Result<T> {
+        let nt = self
+            .nodes
+            .get(node.0 as usize)
+            .ok_or(MinosError::UnknownNode(node))?;
+        let (tx, rx) = bounded(1);
+        nt.tx.send(build(tx)).map_err(|_| MinosError::Shutdown)?;
+        rx.recv_timeout(Duration::from_secs(10))
+            .map_err(|_| MinosError::Shutdown)
+    }
+
+    /// Sends `msg()` to every node thread but `except`'s.
+    fn tell_others(&self, except: NodeId, msg: impl Fn() -> NodeMsg) {
+        for (i, nt) in self.nodes.iter().enumerate() {
+            if i != except.0 as usize {
+                let _ = nt.tx.send(msg());
+            }
+        }
+    }
+
+    /// Replays `entries` on crashed `node`, restarts its engine and
+    /// re-admits it at every other node.
+    fn revive(&self, node: NodeId, entries: Vec<LogEntry>) -> Result<()> {
+        self.ask(node, |done| NodeMsg::Revive { entries, done })?;
+        self.tell_others(node, || NodeMsg::PeerRecovered { node });
+        self.failed.lock()[node.0 as usize] = false;
+        Ok(())
+    }
+
+    /// The coordinator for a write of `key` submitted at `node` (see
+    /// [`Cluster::route_alive`]), recorded against `scope` so the scope's
+    /// flush finds it.
+    fn route_write(&self, node: NodeId, key: Key, scope: Option<ScopeId>) -> NodeId {
+        let mut router = self.router.lock();
+        let coord = self.route_alive(router.map(), router.serving(node, key), key);
+        if let Some(sc) = scope {
+            router.note_scope_route(node, sc, coord);
+        }
+        coord
+    }
+
     /// Liveness failover for routed ops: when the default coordinator of
     /// `key`'s shard is failed, serve at the first alive replica of the
     /// group instead (§III-E membership: survivors keep serving the
@@ -297,14 +341,7 @@ impl Cluster {
         scope: Option<ScopeId>,
     ) -> Result<Ts> {
         self.check_alive(node)?;
-        let coord = {
-            let mut router = self.router.lock();
-            let coord = self.route_alive(router.map(), router.serving(node, key), key);
-            if let Some(sc) = scope {
-                router.note_scope_route(node, sc, coord);
-            }
-            coord
-        };
+        let coord = self.route_write(node, key, scope);
         match self.submit(coord, |req| Event::ClientWrite {
             key,
             value,
@@ -341,14 +378,7 @@ impl Cluster {
         self.check_alive(node)?;
         let mut waits = Vec::with_capacity(writes.len());
         for (key, value) in writes {
-            let coord = {
-                let mut router = self.router.lock();
-                let coord = self.route_alive(router.map(), router.serving(node, key), key);
-                if let Some(sc) = scope {
-                    router.note_scope_route(node, sc, coord);
-                }
-                coord
-            };
+            let coord = self.route_write(node, key, scope);
             let (req, rx) = self.submit_async(coord, |req| Event::ClientWrite {
                 key,
                 value,
@@ -450,11 +480,7 @@ impl Cluster {
         }
         // "…identify the non-responding node(s) and alert all the other
         // nodes."
-        for (i, nt) in self.nodes.iter().enumerate() {
-            if i != node.0 as usize {
-                let _ = nt.tx.send(NodeMsg::PeerFailed { node });
-            }
-        }
+        self.tell_others(node, || NodeMsg::PeerFailed { node });
         true
     }
 
@@ -465,39 +491,9 @@ impl Cluster {
     ///
     /// [`MinosError::Shutdown`] if the donor or rejoiner is unresponsive.
     pub fn recover_node(&self, node: NodeId, donor: NodeId) -> Result<()> {
-        // Fetch the donor's committed log.
-        let (reply_tx, reply_rx) = bounded(1);
-        self.nodes[donor.0 as usize]
-            .tx
-            .send(NodeMsg::ShipLog {
-                since: 0,
-                reply: reply_tx,
-            })
-            .map_err(|_| MinosError::Shutdown)?;
-        let entries = reply_rx
-            .recv_timeout(Duration::from_secs(10))
-            .map_err(|_| MinosError::Shutdown)?;
-
-        // Replay on the rejoiner.
-        let (done_tx, done_rx) = bounded(1);
-        self.nodes[node.0 as usize]
-            .tx
-            .send(NodeMsg::Revive {
-                entries,
-                done: done_tx,
-            })
-            .map_err(|_| MinosError::Shutdown)?;
-        done_rx
-            .recv_timeout(Duration::from_secs(10))
-            .map_err(|_| MinosError::Shutdown)?;
-
-        // Re-admit everywhere.
-        for (i, nt) in self.nodes.iter().enumerate() {
-            if i != node.0 as usize {
-                let _ = nt.tx.send(NodeMsg::PeerRecovered { node });
-            }
-        }
-        self.failed.lock()[node.0 as usize] = false;
+        // Fetch the donor's committed log, replay it on the rejoiner,
+        // re-admit everywhere.
+        self.revive(node, self.durable_log(donor)?)?;
         // Best-effort view walk (Down → CatchingUp → Serving); callers
         // using the explicit donor API may not have marked the node down.
         {
@@ -545,14 +541,7 @@ impl Cluster {
 
         // The rejoiner summarizes its durable state. This is served even
         // while the node is "crashed": NVM contents survive the crash.
-        let (tx, rx) = bounded(1);
-        self.nodes[node.0 as usize]
-            .tx
-            .send(NodeMsg::QuerySummary { reply: tx })
-            .map_err(|_| MinosError::Shutdown)?;
-        let have = rx
-            .recv_timeout(Duration::from_secs(10))
-            .map_err(|_| MinosError::Shutdown)?;
+        let have = self.ask(node, |reply| NodeMsg::QuerySummary { reply })?;
 
         let Some(donor) = self.pick_donor(node) else {
             let _ = self.view.lock().abort_rejoin(node);
@@ -560,14 +549,7 @@ impl Cluster {
                 "no alive donor for rejoining node {node}"
             )));
         };
-        let (tx, rx) = bounded(1);
-        self.nodes[donor.0 as usize]
-            .tx
-            .send(NodeMsg::ShipDelta { have, reply: tx })
-            .map_err(|_| MinosError::Shutdown)?;
-        let entries = rx
-            .recv_timeout(Duration::from_secs(10))
-            .map_err(|_| MinosError::Shutdown)?;
+        let entries = self.ask(donor, |reply| NodeMsg::ShipDelta { have, reply })?;
 
         Ok(RejoinTicket {
             node,
@@ -607,26 +589,10 @@ impl Cluster {
             }
         }
 
-        // Install the missed versions and restart the protocol engine.
-        let (done_tx, done_rx) = bounded(1);
-        self.nodes[node.0 as usize]
-            .tx
-            .send(NodeMsg::Revive {
-                entries,
-                done: done_tx,
-            })
-            .map_err(|_| MinosError::Shutdown)?;
-        done_rx
-            .recv_timeout(Duration::from_secs(10))
-            .map_err(|_| MinosError::Shutdown)?;
-
-        // Re-admit everywhere, then open the gate for client traffic.
-        for (i, nt) in self.nodes.iter().enumerate() {
-            if i != node.0 as usize {
-                let _ = nt.tx.send(NodeMsg::PeerRecovered { node });
-            }
-        }
-        self.failed.lock()[node.0 as usize] = false;
+        // Install the missed versions, restart the protocol engine and
+        // re-admit the node everywhere, then open the gate for client
+        // traffic.
+        self.revive(node, entries)?;
         self.view
             .lock()
             .complete_rejoin(node, self.now_ns())
@@ -677,17 +643,8 @@ impl Cluster {
             .ok_or_else(|| MinosError::Membership(format!("shard {shard} has no alive donor")))?;
 
         // Background copy: the donor's durable records for this shard.
-        let (tx, rx) = bounded(1);
-        self.nodes[donor.0 as usize]
-            .tx
-            .send(NodeMsg::ShipLog {
-                since: 0,
-                reply: tx,
-            })
-            .map_err(|_| MinosError::Shutdown)?;
-        let entries: Vec<LogEntry> = rx
-            .recv_timeout(Duration::from_secs(10))
-            .map_err(|_| MinosError::Shutdown)?
+        let entries: Vec<LogEntry> = self
+            .durable_log(donor)?
             .into_iter()
             .filter(|e| new_map.shard_of(e.key) == shard)
             .collect();
@@ -699,27 +656,16 @@ impl Cluster {
         // Cutover, epoch-gated at every layer: new replica first (data +
         // map, acknowledged), then the rest of the cluster, then the
         // client-facing router.
-        let (done_tx, done_rx) = bounded(1);
-        self.nodes[new_node.0 as usize]
-            .tx
-            .send(NodeMsg::InstallPlacement {
-                map: new_map.clone(),
-                entries,
-                done: Some(done_tx),
-            })
-            .map_err(|_| MinosError::Shutdown)?;
-        done_rx
-            .recv_timeout(Duration::from_secs(10))
-            .map_err(|_| MinosError::Shutdown)?;
-        for (i, nt) in self.nodes.iter().enumerate() {
-            if i != new_node.0 as usize {
-                let _ = nt.tx.send(NodeMsg::InstallPlacement {
-                    map: new_map.clone(),
-                    entries: Vec::new(),
-                    done: None,
-                });
-            }
-        }
+        self.ask(new_node, |done| NodeMsg::InstallPlacement {
+            map: new_map.clone(),
+            entries,
+            done: Some(done),
+        })?;
+        self.tell_others(new_node, || NodeMsg::InstallPlacement {
+            map: new_map.clone(),
+            entries: Vec::new(),
+            done: None,
+        });
         self.router.lock().install_map(new_map);
         self.view.lock().adopt_epoch(epoch);
         Ok(epoch)
@@ -735,19 +681,7 @@ impl Cluster {
     /// [`MinosError::UnknownNode`] for an out-of-range node;
     /// [`MinosError::Shutdown`] if the node thread is gone.
     pub fn durable_log(&self, node: NodeId) -> Result<Vec<LogEntry>> {
-        let nt = self
-            .nodes
-            .get(node.0 as usize)
-            .ok_or(MinosError::UnknownNode(node))?;
-        let (tx, rx) = bounded(1);
-        nt.tx
-            .send(NodeMsg::ShipLog {
-                since: 0,
-                reply: tx,
-            })
-            .map_err(|_| MinosError::Shutdown)?;
-        rx.recv_timeout(Duration::from_secs(10))
-            .map_err(|_| MinosError::Shutdown)
+        self.ask(node, |reply| NodeMsg::ShipLog { reply })
     }
 
     /// The configuration this cluster runs with.
@@ -768,16 +702,7 @@ impl Cluster {
     /// [`MinosError::UnknownNode`] for an out-of-range node;
     /// [`MinosError::Shutdown`] if the node is unresponsive (e.g. crashed).
     pub fn dispatch_stats(&self, node: NodeId) -> Result<(DispatchStats, TransportCounters)> {
-        let nt = self
-            .nodes
-            .get(node.0 as usize)
-            .ok_or(MinosError::UnknownNode(node))?;
-        let (tx, rx) = bounded(1);
-        nt.tx
-            .send(NodeMsg::QueryStats { reply: tx })
-            .map_err(|_| MinosError::Shutdown)?;
-        rx.recv_timeout(Duration::from_secs(10))
-            .map_err(|_| MinosError::Shutdown)
+        self.ask(node, |reply| NodeMsg::QueryStats { reply })
     }
 
     /// Aggregated [`Cluster::dispatch_stats`] over all live nodes.

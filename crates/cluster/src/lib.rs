@@ -10,7 +10,9 @@
 //!
 //! This runtime demonstrates the protocols under *real* concurrency —
 //! preemption, cross-thread message races, genuinely parallel coordinators
-//! — complementing the deterministic simulator in `minos-net`.
+//! — complementing the deterministic simulator in `minos-net`. The socket
+//! runtime in [`tcp`] runs the same live node with TCP in place of the
+//! channels.
 //!
 //! # Example
 //!

@@ -1,6 +1,6 @@
 //! A real-socket MINOS-B runtime: nodes as independent processes (or
 //! threads) exchanging protocol messages over TCP, with a framed client
-//! protocol.
+//! protocol. Sockets and codec only.
 //!
 //! This is the genuine multi-node deployment path: `minos-noded` runs one
 //! node per process; [`TcpClient`] connects to any node and issues
@@ -27,30 +27,37 @@
 //! * **node → client**: `[u64 client-req][u8 status][payload]` — status
 //!   1=write-done `[ts]`, 2=read-done `[ts][value]`, 3=persist-done,
 //!   4=durable-log dump `[u32 count]` + entries, 5=catch-up delta (same
-//!   encoding as 4), 6=peer-status ack, 0=error
+//!   encoding as 4), 6=peer-status ack, 0=error: not a replica of the
+//!   op's key `[UTF-8 reason]` (the op was refused and had no effect;
+//!   [`ShardedTcpClient`] routes so that this never happens)
+//!
+//! This module is the home of these formats; the node behind the sockets
+//! — engine, dispatch stack, recovery — is the `NodeCore` it shares with
+//! the threaded runtime (`node.rs`), reached through a socket `Port`.
 
+use crate::cluster::Outcome;
+use crate::node::{NodeCore, Port};
 use crate::timer::{Scheduler, TimerWheel};
-use crossbeam::channel::{unbounded, RecvTimeoutError, Sender};
+use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use minos_core::obs::{
     self, GaugeKind, GaugeSet, HistogramSet, JsonlWriter, MetricsSink, TraceClock, Tracer,
 };
-use minos_core::runtime::{
-    ActionSink, BatchPolicy, Batched, ChaosNet, ChaosState, Dispatcher, FrameTransport,
-};
-use minos_core::{DelayClass, Event, NodeEngine, ReqId};
-use minos_kv::DurableState;
+use minos_core::runtime::FrameTransport;
+use minos_core::{Event, ReqId};
 use minos_nvm::{decode_entries, encode_entries, DecodeOutcome, LogEntry};
 use minos_types::wire::{
     decode_peer_frame_ctx, encode_peer_frame_ctx_into, TraceCtx, CLIENT_CTX_FLAG,
 };
 use minos_types::{
-    ChaosSpec, DdpModel, FaultSpec, Key, Message, NodeId, ScopeId, ShardMap, Ts, Value,
+    ChaosSpec, ClusterConfig, DdpModel, FaultSpec, Key, Message, NodeId, ScopeId, ShardMap, Ts,
+    Value,
 };
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -127,7 +134,8 @@ enum In {
         op: ClientOp,
         ctx: Option<TraceCtx>,
     },
-    PersistDone(Key, Ts, Option<TraceCtx>),
+    /// An event this node scheduled for itself: a deferred dispatch hop,
+    /// or a persist completing after the device latency.
     Local(Event, Option<TraceCtx>),
     Shutdown,
 }
@@ -166,19 +174,22 @@ enum ClientOp {
     },
 }
 
+/// Write-halves of the established client connections, by connection id.
+type Writers = Arc<Mutex<HashMap<u64, TcpStream>>>;
+
 /// Handle to a running TCP node (its threads stop on [`TcpNode::shutdown`]
 /// or drop).
 pub struct TcpNode {
     tx: Sender<In>,
     engine_thread: Option<JoinHandle<()>>,
     accept_threads: Vec<JoinHandle<()>>,
-    stop: Arc<std::sync::atomic::AtomicBool>,
+    stop: Arc<AtomicBool>,
     peer_addr: SocketAddr,
     client_addr: SocketAddr,
-    /// Write-halves of the established client connections, shared with
-    /// the engine's response path. Closed on shutdown so blocked client
-    /// reads observe the crash (a real dead process RSTs its sockets).
-    client_writers: Arc<Mutex<HashMap<u64, TcpStream>>>,
+    /// Shared with the engine's response path. Closed on shutdown so
+    /// blocked client reads observe the crash (a real dead process RSTs
+    /// its sockets).
+    client_writers: Writers,
     /// Established inbound peer connections, closed on shutdown for the
     /// same reason (and to release their reader threads).
     peer_conns: Arc<Mutex<Vec<TcpStream>>>,
@@ -197,26 +208,33 @@ fn read_frame(stream: &mut TcpStream) -> std::io::Result<Vec<u8>> {
     Ok(body)
 }
 
-/// Samples the node-level resource gauges: in-flight client ops, records
-/// holding locks, and the engine inbox depth. Called on the metrics tick
-/// (and once at shutdown) so the O(records) lock scan stays off the
-/// per-event path.
-fn sample_node_gauges(
-    gauges: &mut GaugeSet,
-    node: u32,
-    inflight: usize,
-    locked: usize,
-    inbox: usize,
-) {
-    gauges.observe(GaugeKind::InflightTxs, node, inflight as u64);
-    gauges.observe(GaugeKind::LockTableSize, node, locked as u64);
-    gauges.observe(GaugeKind::HostSendQueue, node, inbox as u64);
-}
-
 /// Writes one length-prefixed frame.
 fn write_frame(stream: &mut TcpStream, body: &[u8]) -> std::io::Result<()> {
     stream.write_all(&(body.len() as u32).to_le_bytes())?;
     stream.write_all(body)
+}
+
+/// Spawns an acceptor thread handing every inbound connection to
+/// `on_conn`. The loop exits (dropping the listener, freeing the port)
+/// when `stop` is raised and a wake-up connection arrives — so a
+/// shut-down node can be re-served on the same address, which is what a
+/// rejoin after a process "crash" looks like in-process.
+fn spawn_acceptor(
+    name: String,
+    listener: TcpListener,
+    stop: Arc<AtomicBool>,
+    mut on_conn: impl FnMut(TcpStream) + Send + 'static,
+) -> std::io::Result<JoinHandle<()>> {
+    std::thread::Builder::new().name(name).spawn(move || {
+        for stream in listener.incoming() {
+            if stop.load(Ordering::SeqCst) {
+                break;
+            }
+            if let Ok(stream) = stream {
+                on_conn(stream);
+            }
+        }
+    })
 }
 
 impl TcpNode {
@@ -232,459 +250,93 @@ impl TcpNode {
         let client_addr = client_listener.local_addr()?;
 
         let (tx, rx) = unbounded::<In>();
-        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let mut accept_threads = Vec::with_capacity(2);
+        let stop = Arc::new(AtomicBool::new(false));
 
         // Peer acceptor: one reader thread per inbound peer connection.
-        // The loop exits (dropping the listener, freeing the port) when
-        // `stop` is raised and a wake-up connection arrives — so a
-        // shut-down node can be re-served on the same address, which is
-        // what a rejoin after a process "crash" looks like in-process.
         let peer_conns: Arc<Mutex<Vec<TcpStream>>> = Arc::new(Mutex::new(Vec::new()));
-        {
-            let tx = tx.clone();
-            let stop = Arc::clone(&stop);
-            let conns = Arc::clone(&peer_conns);
-            accept_threads.push(
-                std::thread::Builder::new()
-                    .name(format!("minos-tcp-peer-accept-{}", cfg.node))
-                    .spawn(move || {
-                        for stream in peer_listener.incoming() {
-                            if stop.load(std::sync::atomic::Ordering::SeqCst) {
-                                break;
-                            }
-                            let Ok(mut stream) = stream else { continue };
-                            if let Ok(c) = stream.try_clone() {
-                                conns.lock().push(c);
-                            }
-                            let tx = tx.clone();
-                            std::thread::spawn(move || {
-                                while let Ok(frame) = read_frame(&mut stream) {
-                                    match decode_peer_frame_ctx(&frame) {
-                                        Ok((from, msgs, ctx)) => {
-                                            if tx.send(In::Peer(from, msgs, ctx)).is_err() {
-                                                break;
-                                            }
-                                        }
-                                        Err(_) => break,
-                                    }
-                                }
-                            });
+        let (inbox, conns) = (tx.clone(), Arc::clone(&peer_conns));
+        let peer_acceptor = spawn_acceptor(
+            format!("minos-tcp-peer-accept-{}", cfg.node),
+            peer_listener,
+            Arc::clone(&stop),
+            move |mut stream| {
+                if let Ok(c) = stream.try_clone() {
+                    conns.lock().push(c);
+                }
+                let inbox = inbox.clone();
+                std::thread::spawn(move || {
+                    while let Ok(frame) = read_frame(&mut stream) {
+                        let Ok((from, msgs, ctx)) = decode_peer_frame_ctx(&frame) else {
+                            break;
+                        };
+                        if inbox.send(In::Peer(from, msgs, ctx)).is_err() {
+                            break;
                         }
-                    })?,
-            );
-        }
+                    }
+                });
+            },
+        )?;
 
         // Client acceptor: per-connection reader + shared writer handle.
-        let client_writers: Arc<Mutex<HashMap<u64, TcpStream>>> =
-            Arc::new(Mutex::new(HashMap::new()));
-        {
-            let tx = tx.clone();
-            let writers = Arc::clone(&client_writers);
-            let stop = Arc::clone(&stop);
-            accept_threads.push(
-                std::thread::Builder::new()
-                    .name(format!("minos-tcp-client-accept-{}", cfg.node))
-                    .spawn(move || {
-                        let mut next_conn = 1u64;
-                        for stream in client_listener.incoming() {
-                            if stop.load(std::sync::atomic::Ordering::SeqCst) {
-                                break;
-                            }
-                            let Ok(stream) = stream else { continue };
-                            let conn = next_conn;
-                            next_conn += 1;
-                            if let Ok(w) = stream.try_clone() {
-                                writers.lock().insert(conn, w);
-                            } else {
-                                continue;
-                            }
-                            let tx = tx.clone();
-                            let writers = Arc::clone(&writers);
-                            let mut stream = stream;
-                            std::thread::spawn(move || {
-                                while let Ok(frame) = read_frame(&mut stream) {
-                                    match parse_client_request(&frame) {
-                                        Some((creq, op, ctx)) => {
-                                            let input = In::Client {
-                                                conn,
-                                                creq,
-                                                op,
-                                                ctx,
-                                            };
-                                            if tx.send(input).is_err() {
-                                                break;
-                                            }
-                                        }
-                                        None => break,
-                                    }
-                                }
-                                writers.lock().remove(&conn);
-                            });
-                        }
-                    })?,
-            );
-        }
-
-        // Persist-completion timer (single destination: this engine).
-        let wheel = TimerWheel::spawn(vec![tx.clone()]);
-        let scheduler = wheel.scheduler();
-
-        let writers_for_shutdown = Arc::clone(&client_writers);
-        let engine_tx = tx.clone();
-        let engine_thread = std::thread::Builder::new()
-            .name(format!("minos-tcp-engine-{}", cfg.node))
-            .spawn(move || {
-                let mut engine = NodeEngine::new(cfg.node, cfg.peers.len(), cfg.model);
-                engine.set_placement(cfg.placement.clone());
-                #[cfg(feature = "fault-injection")]
-                if let Some(f) = cfg.fault {
-                    if f.node == cfg.node.0 {
-                        engine.arm_fault(f.kind);
-                    }
-                }
-                let mut chaos = cfg
-                    .chaos
-                    .as_ref()
-                    .map(|spec| ChaosState::new(spec, cfg.node));
-                let mut dispatcher = Dispatcher::new();
-
-                // Observability: JSONL trace + per-op latency histograms,
-                // stamped from this process's monotonic epoch.
-                let mut sinks: Vec<obs::SharedSink> = Vec::new();
-                if let Some(path) = cfg.trace_out.as_ref() {
-                    match JsonlWriter::create(path) {
-                        Ok(w) => sinks.push(obs::shared(w)),
-                        Err(e) => {
-                            eprintln!("minos-tcp: cannot open trace file {}: {e}", path.display());
-                        }
-                    }
-                }
-                let mut hists: Option<Arc<std::sync::Mutex<HistogramSet>>> = None;
-                if cfg.metrics_out.is_some() {
-                    let (sink, set) = MetricsSink::new(cfg.model.persistency);
-                    sinks.push(obs::shared(sink));
-                    hists = Some(set);
-                }
-                if !sinks.is_empty() {
-                    dispatcher.set_tracer(Some(Tracer::new(
-                        cfg.node,
-                        TraceClock::monotonic(),
-                        sinks,
-                    )));
-                }
-                let dump_metrics = |hists: &Option<Arc<std::sync::Mutex<HistogramSet>>>,
-                                    gauges: &GaugeSet| {
-                    if let (Some(path), Some(set)) = (cfg.metrics_out.as_ref(), hists.as_ref()) {
-                        let mut text = set.lock().expect("histogram lock").render_prometheus();
-                        text.push_str(&gauges.render_prometheus());
-                        let _ = std::fs::write(path, text);
-                    }
-                };
-
-                let policy = BatchPolicy {
-                    batching: cfg.batching,
-                    broadcast: cfg.broadcast,
-                };
-                let mut durable = DurableState::with_persist_latency(cfg.persist_ns_per_kb);
-
-                // ---- Startup rejoin ----
-                // Step 1, replay your own durable log: decode the on-disk
-                // NVM file (surviving state from before the crash). A torn
-                // final append is truncated away, per the codec contract.
-                let mut log_file: Option<std::fs::File> = None;
-                if let Some(path) = cfg.nvm_log.as_ref() {
-                    if let Ok(bytes) = std::fs::read(path) {
-                        let (entries, outcome) = decode_entries(&bytes);
-                        if let DecodeOutcome::Truncated { valid_bytes } = outcome {
-                            eprintln!(
-                                "minos-tcp: NVM log {} has a torn tail; truncating to {valid_bytes} bytes",
-                                path.display()
-                            );
-                            if let Ok(f) =
-                                std::fs::OpenOptions::new().write(true).open(path)
-                            {
-                                let _ = f.set_len(valid_bytes as u64);
-                            }
-                        }
-                        durable.replay(&entries);
-                    }
-                    match std::fs::OpenOptions::new().create(true).append(true).open(path) {
-                        Ok(f) => log_file = Some(f),
-                        Err(e) => eprintln!(
-                            "minos-tcp: cannot open NVM log {}: {e}",
-                            path.display()
-                        ),
-                    }
-                }
-                // Step 2, donor catch-up: ship the per-key version summary
-                // to the donor and install exactly the versions this node
-                // missed while down — appended to the on-disk log so they
-                // survive a second crash.
-                if let Some(donor) = cfg.rejoin_donor {
-                    match TcpClient::connect(donor)
-                        .and_then(|mut c| c.fetch_delta(&durable.summary()))
-                    {
-                        Ok(delta) => {
-                            durable.replay(&delta);
-                            if let Some(f) = log_file.as_mut() {
-                                let _ = f.write_all(&encode_entries(&delta));
-                            }
-                        }
-                        Err(e) => eprintln!(
-                            "minos-tcp: rejoin catch-up from {donor} failed: {e}"
-                        ),
-                    }
-                }
-                // Raise the fresh engine's volatile state to the recovered
-                // durable state before the first client op is admitted.
-                let recovered: Vec<(Key, Ts, Value)> = durable
-                    .iter_durable()
-                    .map(|(k, (ts, v))| (*k, *ts, v.clone()))
-                    .collect();
-                for (k, ts, v) in recovered {
-                    engine.install_recovered(k, ts, v);
-                }
-
-                let mut peers: HashMap<NodeId, TcpStream> = HashMap::new();
-                // Client request bookkeeping: engine ReqId → (conn, creq).
-                let mut pending: HashMap<ReqId, (u64, u64)> = HashMap::new();
-                // Peer-frame encode scratch, reused across dispatches.
-                let mut frame_buf: Vec<u8> = Vec::new();
-                let mut next_req = 1u64;
-                let dump_every = cfg.metrics_interval.max(Duration::from_millis(1));
-                let mut next_dump = Instant::now() + dump_every;
-                let mut gauges = GaugeSet::new();
-                let node_idx = u32::from(cfg.node.0);
-
-                loop {
-                    let input = match rx.recv_timeout(dump_every.min(Duration::from_millis(200))) {
-                        Ok(input) => input,
-                        Err(RecvTimeoutError::Timeout) => {
-                            if Instant::now() >= next_dump {
-                                sample_node_gauges(
-                                    &mut gauges,
-                                    node_idx,
-                                    pending.len(),
-                                    engine.locked_records(),
-                                    rx.len(),
-                                );
-                                dump_metrics(&hists, &gauges);
-                                next_dump = Instant::now() + dump_every;
-                            }
-                            continue;
-                        }
-                        Err(RecvTimeoutError::Disconnected) => break,
-                    };
-                    let mut events: Vec<(Event, Option<TraceCtx>)> = Vec::new();
-                    match input {
-                        In::Shutdown => break,
-                        In::Peer(from, msgs, ctx) => {
-                            // One inbound frame may carry a whole batch.
-                            events.extend(
-                                msgs.into_iter()
-                                    .map(|msg| (Event::Message { from, msg }, ctx)),
-                            );
-                        }
-                        In::PersistDone(key, ts, ctx) => {
-                            events.push((Event::PersistDone { key, ts }, ctx));
-                        }
-                        In::Local(ev, ctx) => events.push((ev, ctx)),
-                        In::Client {
-                            conn,
-                            creq,
-                            op: ClientOp::DumpDurable,
-                            ..
-                        } => {
-                            let mut body = creq.to_le_bytes().to_vec();
-                            body.push(4);
-                            encode_log_dump(&durable.entries_since(0), &mut body);
-                            let mut writers = client_writers.lock();
-                            if let Some(s) = writers.get_mut(&conn) {
-                                if write_frame(s, &body).is_err() {
-                                    writers.remove(&conn);
-                                }
-                            }
-                        }
-                        In::Client {
-                            conn,
-                            creq,
-                            op: ClientOp::Delta { have },
-                            ..
-                        } => {
-                            // Donor side of a rejoin: ship the versions the
-                            // caller's summary is missing.
-                            let mut body = creq.to_le_bytes().to_vec();
-                            body.push(5);
-                            encode_log_dump(&durable.delta_against(&have), &mut body);
-                            let mut writers = client_writers.lock();
-                            if let Some(s) = writers.get_mut(&conn) {
-                                if write_frame(s, &body).is_err() {
-                                    writers.remove(&conn);
-                                }
-                            }
-                        }
-                        In::Client {
-                            conn,
-                            creq,
-                            op: ClientOp::PeerStatus { peer, up },
-                            ..
-                        } => {
-                            // The control plane's view change: shrink or
-                            // regrow the replication quorum, then drain any
-                            // transactions the exclusion unblocked.
-                            if peer != cfg.node {
-                                // Drop the cached connection either way: a
-                                // down peer's socket is dead, and a rejoined
-                                // peer listens on a *new* socket — a write
-                                // into the half-closed old one would succeed
-                                // at the TCP level and silently swallow the
-                                // frame.
-                                peers.remove(&peer);
-                                if up {
-                                    engine.mark_recovered(peer);
-                                } else {
-                                    engine.mark_failed(peer);
-                                }
-                                let mut out = Vec::new();
-                                engine.poll_now(&mut out);
-                                let mut handler = Batched::new(
-                                    TcpHandler {
-                                        node: cfg.node,
-                                        ctx: None,
-                                        peer_addrs: &cfg.peers,
-                                        peers: &mut peers,
-                                        durable: &mut durable,
-                                        log_file: &mut log_file,
-                                        scheduler: &scheduler,
-                                        engine_tx: &engine_tx,
-                                        writers: &client_writers,
-                                        pending: &mut pending,
-                                        frame_buf: &mut frame_buf,
-                                    },
-                                    policy,
-                                );
-                                if let Some(chaos) = chaos.as_mut() {
-                                    let mut net = ChaosNet::new(&mut handler, chaos);
-                                    dispatcher.run_actions(&engine, out, &mut net);
-                                } else {
-                                    dispatcher.run_actions(&engine, out, &mut handler);
-                                }
-                                let _ = handler.into_parts();
-                            }
-                            let mut body = creq.to_le_bytes().to_vec();
-                            body.push(6);
-                            let mut writers = client_writers.lock();
-                            if let Some(s) = writers.get_mut(&conn) {
-                                if write_frame(s, &body).is_err() {
-                                    writers.remove(&conn);
-                                }
-                            }
-                        }
-                        In::Client {
+        let client_writers: Writers = Arc::new(Mutex::new(HashMap::new()));
+        let (inbox, writers) = (tx.clone(), Arc::clone(&client_writers));
+        let mut next_conn = 1u64;
+        let client_acceptor = spawn_acceptor(
+            format!("minos-tcp-client-accept-{}", cfg.node),
+            client_listener,
+            Arc::clone(&stop),
+            move |mut stream| {
+                let conn = next_conn;
+                next_conn += 1;
+                let Ok(w) = stream.try_clone() else { return };
+                writers.lock().insert(conn, w);
+                let (inbox, writers) = (inbox.clone(), Arc::clone(&writers));
+                std::thread::spawn(move || {
+                    while let Ok(frame) = read_frame(&mut stream) {
+                        let Some((creq, op, ctx)) = parse_client_request(&frame) else {
+                            break;
+                        };
+                        let input = In::Client {
                             conn,
                             creq,
                             op,
                             ctx,
-                        } => {
-                            let req = ReqId(next_req);
-                            next_req += 1;
-                            pending.insert(req, (conn, creq));
-                            let ev = match op {
-                                ClientOp::Put { key, scope, value } => Event::ClientWrite {
-                                    key,
-                                    value,
-                                    scope,
-                                    req,
-                                },
-                                ClientOp::Get { key } => Event::ClientRead { key, req },
-                                ClientOp::Persist { scope } => {
-                                    Event::ClientPersistScope { scope, req }
-                                }
-                                ClientOp::DumpDurable
-                                | ClientOp::Delta { .. }
-                                | ClientOp::PeerStatus { .. } => {
-                                    unreachable!("handled above")
-                                }
-                            };
-                            events.push((ev, ctx));
+                        };
+                        if inbox.send(input).is_err() {
+                            break;
                         }
                     }
-                    for (ev, ctx) in events {
-                        let mut handler = Batched::new(
-                            TcpHandler {
-                                node: cfg.node,
-                                ctx: None,
-                                peer_addrs: &cfg.peers,
-                                peers: &mut peers,
-                                durable: &mut durable,
-                                log_file: &mut log_file,
-                                scheduler: &scheduler,
-                                engine_tx: &engine_tx,
-                                writers: &client_writers,
-                                pending: &mut pending,
-                                frame_buf: &mut frame_buf,
-                            },
-                            policy,
-                        );
-                        if let Some(chaos) = chaos.as_mut() {
-                            // Chaos above batching: injection indices count
-                            // protocol messages, not frames.
-                            let mut net = ChaosNet::new(&mut handler, chaos);
-                            dispatcher.dispatch_ctx(&mut engine, ev, ctx, &mut net);
-                        } else {
-                            dispatcher.dispatch_ctx(&mut engine, ev, ctx, &mut handler);
-                        }
-                        let (_, c) = handler.into_parts();
-                        if cfg.batching && c.deposits > 0 {
-                            gauges.observe(
-                                GaugeKind::BatchFill,
-                                node_idx,
-                                c.protocol_msgs / c.deposits,
-                            );
-                        }
-                    }
-                    // Keep trace shards on disk current: a killed (not
-                    // shut down) process must still leave an assemblable
-                    // shard behind, so the JSONL sink may not sit on a
-                    // buffered tail across input batches.
-                    if let Some(tr) = dispatcher.tracer_mut() {
-                        tr.flush_sinks();
-                    }
-                    if Instant::now() >= next_dump {
-                        sample_node_gauges(
-                            &mut gauges,
-                            node_idx,
-                            pending.len(),
-                            engine.locked_records(),
-                            rx.len(),
-                        );
-                        dump_metrics(&hists, &gauges);
-                        next_dump = Instant::now() + dump_every;
-                    }
-                }
-                // Final dump + flush so short-lived runs still export.
-                sample_node_gauges(
-                    &mut gauges,
-                    node_idx,
-                    pending.len(),
-                    engine.locked_records(),
-                    rx.len(),
-                );
-                dump_metrics(&hists, &gauges);
-                if let Some(tr) = dispatcher.tracer_mut() {
-                    tr.flush_sinks();
-                }
-            })?;
+                    writers.lock().remove(&conn);
+                });
+            },
+        )?;
+
+        // Persist-completion timer (single destination: this engine).
+        let wheel = TimerWheel::spawn(vec![tx.clone()]);
+        let port = TcpPort {
+            node: cfg.node,
+            ctx: None,
+            peer_addrs: cfg.peers.clone(),
+            peers: HashMap::new(),
+            log_file: None,
+            scheduler: wheel.scheduler(),
+            engine_tx: tx.clone(),
+            writers: Arc::clone(&client_writers),
+            pending: HashMap::new(),
+            frame_buf: Vec::new(),
+        };
+        let engine_thread = std::thread::Builder::new()
+            .name(format!("minos-tcp-engine-{}", cfg.node))
+            .spawn(move || EngineLoop::start(&cfg, port, rx).run())?;
 
         Ok(TcpNode {
             tx,
             engine_thread: Some(engine_thread),
-            accept_threads,
+            accept_threads: vec![peer_acceptor, client_acceptor],
             stop,
             peer_addr,
             client_addr,
-            client_writers: writers_for_shutdown,
+            client_writers,
             peer_conns,
         })
     }
@@ -714,7 +366,7 @@ impl TcpNode {
     /// node's signature.
     pub fn shutdown(mut self) {
         let _ = self.tx.send(In::Shutdown);
-        self.stop.store(true, std::sync::atomic::Ordering::SeqCst);
+        self.stop.store(true, Ordering::SeqCst);
         // Wake both acceptors so they observe the stop flag and drop
         // their listeners.
         let _ = TcpStream::connect(self.peer_addr);
@@ -745,70 +397,275 @@ impl TcpNode {
     }
 }
 
-/// The socket-backed dispatch handler: peer frames are encoded with the
-/// shared wire codec and written straight to peer sockets; persists ride
-/// the local delay wheel; completions are written back to the client
-/// connection.
-struct TcpHandler<'a> {
-    node: NodeId,
-    /// The dispatching node's trace context, carried on every peer frame
-    /// and locally rescheduled event this dispatch emits.
-    ctx: Option<TraceCtx>,
-    peer_addrs: &'a [SocketAddr],
-    peers: &'a mut HashMap<NodeId, TcpStream>,
-    durable: &'a mut DurableState,
-    /// Open on-disk NVM log (None = memory-only durability emulation).
-    log_file: &'a mut Option<std::fs::File>,
-    scheduler: &'a Scheduler<In>,
-    engine_tx: &'a Sender<In>,
-    writers: &'a Arc<Mutex<HashMap<u64, TcpStream>>>,
-    pending: &'a mut HashMap<ReqId, (u64, u64)>,
-    /// Peer-frame encode scratch (lives in the node loop so the
-    /// allocation survives across per-dispatch handlers).
-    frame_buf: &'a mut Vec<u8>,
+/// The engine thread: one [`NodeCore`] fed from the socket readers'
+/// inbox through a [`TcpPort`], plus the metrics exporter.
+struct EngineLoop {
+    core: NodeCore,
+    port: TcpPort,
+    rx: Receiver<In>,
+    next_req: u64,
+    /// Where and what `--metrics-out` dumps (`None` = no exporter).
+    metrics: Option<(PathBuf, Arc<std::sync::Mutex<HistogramSet>>)>,
+    gauges: GaugeSet,
+    dump_every: Duration,
+    next_dump: Instant,
 }
 
-impl TcpHandler<'_> {
-    /// Writes one already-encoded frame to `to`, reconnecting once on a
-    /// stale connection. An unreachable peer loses the frame, which is
-    /// exactly what a crashed node looks like.
-    fn write_to(&mut self, to: NodeId, body: &[u8]) {
-        for _attempt in 0..2 {
-            if !self.peers.contains_key(&to) {
-                match TcpStream::connect(self.peer_addrs[to.0 as usize]) {
-                    Ok(s) => {
-                        self.peers.insert(to, s);
+impl EngineLoop {
+    /// Builds the node and completes its start-up rejoin, so the first
+    /// client op is admitted against the recovered state.
+    fn start(cfg: &TcpNodeConfig, mut port: TcpPort, rx: Receiver<In>) -> EngineLoop {
+        // Observability: JSONL trace + per-op latency histograms,
+        // stamped from this process's monotonic epoch.
+        let mut sinks: Vec<obs::SharedSink> = Vec::new();
+        if let Some(path) = cfg.trace_out.as_ref() {
+            match JsonlWriter::create(path) {
+                Ok(w) => sinks.push(obs::shared(w)),
+                Err(e) => eprintln!("minos-tcp: cannot open trace file {}: {e}", path.display()),
+            }
+        }
+        let metrics = cfg.metrics_out.clone().map(|path| {
+            let (sink, set) = MetricsSink::new(cfg.model.persistency);
+            sinks.push(obs::shared(sink));
+            (path, set)
+        });
+        let tracer =
+            (!sinks.is_empty()).then(|| Tracer::new(cfg.node, TraceClock::monotonic(), sinks));
+        let as_cluster = ClusterConfig {
+            nodes: cfg.peers.len(),
+            nvm_persist_ns_per_kb: cfg.persist_ns_per_kb,
+            batching: cfg.batching,
+            broadcast: cfg.broadcast,
+            chaos: cfg.chaos.clone(),
+            fault: cfg.fault,
+            placement: cfg.placement.clone(),
+            ..ClusterConfig::cloudlab()
+        };
+        let mut core = NodeCore::new(cfg.node, cfg.model, &as_cluster, tracer);
+
+        // ---- Startup rejoin ----
+        // Step 1, replay your own durable log: decode the on-disk NVM
+        // file (surviving state from before the crash). A torn final
+        // append is truncated away, per the codec contract.
+        if let Some(path) = cfg.nvm_log.as_ref() {
+            if let Ok(bytes) = std::fs::read(path) {
+                let (entries, outcome) = decode_entries(&bytes);
+                if let DecodeOutcome::Truncated { valid_bytes } = outcome {
+                    eprintln!(
+                        "minos-tcp: NVM log {} has a torn tail; truncating to {valid_bytes} bytes",
+                        path.display()
+                    );
+                    if let Ok(f) = std::fs::OpenOptions::new().write(true).open(path) {
+                        let _ = f.set_len(valid_bytes as u64);
                     }
-                    Err(_) => return, // peer down: message lost
+                }
+                core.recover(&entries, false);
+            }
+            match std::fs::OpenOptions::new()
+                .create(true)
+                .append(true)
+                .open(path)
+            {
+                Ok(f) => port.log_file = Some(f),
+                Err(e) => eprintln!("minos-tcp: cannot open NVM log {}: {e}", path.display()),
+            }
+        }
+        // Step 2, donor catch-up: ship the per-key version summary to the
+        // donor and install exactly the versions this node missed while
+        // down — appended to the on-disk log so they survive a second
+        // crash.
+        if let Some(donor) = cfg.rejoin_donor {
+            match TcpClient::connect(donor).and_then(|mut c| c.fetch_delta(&core.durable.summary()))
+            {
+                Ok(delta) => {
+                    core.recover(&delta, false);
+                    port.mirror(&delta);
+                }
+                Err(e) => eprintln!("minos-tcp: rejoin catch-up from {donor} failed: {e}"),
+            }
+        }
+
+        let dump_every = cfg.metrics_interval.max(Duration::from_millis(1));
+        EngineLoop {
+            core,
+            port,
+            rx,
+            next_req: 1,
+            metrics,
+            gauges: GaugeSet::new(),
+            dump_every,
+            next_dump: Instant::now() + dump_every,
+        }
+    }
+
+    fn run(mut self) {
+        loop {
+            let tick = self.dump_every.min(Duration::from_millis(200));
+            match self.rx.recv_timeout(tick) {
+                Ok(In::Shutdown) | Err(RecvTimeoutError::Disconnected) => break,
+                Err(RecvTimeoutError::Timeout) => {}
+                Ok(In::Peer(from, msgs, ctx)) => {
+                    // One inbound frame may carry a whole batch.
+                    for msg in msgs {
+                        self.dispatch(Event::Message { from, msg }, ctx);
+                    }
+                }
+                Ok(In::Local(ev, ctx)) => self.dispatch(ev, ctx),
+                Ok(In::Client {
+                    conn,
+                    creq,
+                    op,
+                    ctx,
+                }) => self.client_op(conn, creq, op, ctx),
+            }
+            // Keep trace shards on disk current: a killed (not shut
+            // down) process must still leave an assemblable shard
+            // behind, so the JSONL sink may not sit on a buffered tail
+            // across input batches.
+            if let Some(tr) = self.core.dispatcher.tracer_mut() {
+                tr.flush_sinks();
+            }
+            if Instant::now() >= self.next_dump {
+                self.export_metrics();
+            }
+        }
+        // Final dump so short-lived runs still export.
+        self.export_metrics();
+    }
+
+    fn dispatch(&mut self, ev: Event, ctx: Option<TraceCtx>) {
+        if let Some(fill) = self.core.dispatch(ev, ctx, &mut self.port) {
+            let node = u32::from(self.port.node.0);
+            self.gauges.observe(GaugeKind::BatchFill, node, fill);
+        }
+    }
+
+    fn client_op(&mut self, conn: u64, creq: u64, op: ClientOp, ctx: Option<TraceCtx>) {
+        let req = ReqId(self.next_req);
+        let ev = match op {
+            ClientOp::DumpDurable => {
+                let mut body = reply_head(creq, 4);
+                encode_log_dump(&self.core.durable.entries_since(0), &mut body);
+                return self.port.reply(conn, &body);
+            }
+            ClientOp::Delta { have } => {
+                // Donor side of a rejoin: ship the versions the caller's
+                // summary is missing.
+                let mut body = reply_head(creq, 5);
+                encode_log_dump(&self.core.durable.delta_against(&have), &mut body);
+                return self.port.reply(conn, &body);
+            }
+            ClientOp::PeerStatus { peer, up } => {
+                if peer != self.port.node {
+                    // Drop the cached connection either way: a down
+                    // peer's socket is dead, and a rejoined peer listens
+                    // on a *new* socket — a write into the half-closed
+                    // old one would succeed at the TCP level and silently
+                    // swallow the frame.
+                    self.port.peers.remove(&peer);
+                    self.core.view_change(peer, up, &mut self.port);
+                }
+                return self.port.reply(conn, &reply_head(creq, 6));
+            }
+            ClientOp::Put { key, scope, value } => Event::ClientWrite {
+                key,
+                value,
+                scope,
+                req,
+            },
+            ClientOp::Get { key } => Event::ClientRead { key, req },
+            ClientOp::Persist { scope } => Event::ClientPersistScope { scope, req },
+        };
+        self.next_req += 1;
+        self.port.pending.insert(req, (conn, creq));
+        self.dispatch(ev, ctx);
+    }
+
+    /// The metrics tick: samples the node-level resource gauges (here and
+    /// not per event, so the O(records) lock scan stays off the hot
+    /// path) and rewrites the `--metrics-out` file.
+    fn export_metrics(&mut self) {
+        let inflight = self.port.pending.values().map(|_| None);
+        self.core.sample(&mut self.gauges, inflight, self.rx.len());
+        if let Some((path, hists)) = self.metrics.as_ref() {
+            let mut text = hists.lock().expect("histogram lock").render_prometheus();
+            text.push_str(&self.gauges.render_prometheus());
+            let _ = std::fs::write(path, text);
+        }
+        self.next_dump = Instant::now() + self.dump_every;
+    }
+}
+
+/// The socket runtime's [`Port`]: peer frames are encoded with the
+/// shared wire codec and written straight to peer sockets, scheduled
+/// events ride the local delay wheel back into the engine inbox,
+/// completions are written back to the client connection.
+struct TcpPort {
+    node: NodeId,
+    /// The current dispatch's trace context, carried on every peer frame
+    /// and locally rescheduled event it emits.
+    ctx: Option<TraceCtx>,
+    peer_addrs: Vec<SocketAddr>,
+    peers: HashMap<NodeId, TcpStream>,
+    /// Open on-disk NVM log (None = memory-only durability emulation).
+    log_file: Option<std::fs::File>,
+    scheduler: Scheduler<In>,
+    engine_tx: Sender<In>,
+    writers: Writers,
+    /// Client request bookkeeping: engine ReqId → (conn, creq).
+    pending: HashMap<ReqId, (u64, u64)>,
+    /// Peer-frame encode scratch, reused across dispatches.
+    frame_buf: Vec<u8>,
+}
+
+impl TcpPort {
+    /// Encodes `msgs` once (into the reused scratch) and writes the same
+    /// bytes to every destination, reconnecting once per destination on
+    /// a stale connection. An unreachable peer loses the frame, which is
+    /// exactly what a crashed node looks like.
+    fn send_frame(&mut self, dests: &[NodeId], msgs: &[Message]) {
+        let mut body = std::mem::take(&mut self.frame_buf);
+        encode_peer_frame_ctx_into(self.node, msgs, self.ctx, &mut body);
+        for &to in dests {
+            for _attempt in 0..2 {
+                if !self.peers.contains_key(&to) {
+                    match TcpStream::connect(self.peer_addrs[to.0 as usize]) {
+                        Ok(s) => {
+                            self.peers.insert(to, s);
+                        }
+                        Err(_) => break, // peer down: message lost
+                    }
+                }
+                if let Some(s) = self.peers.get_mut(&to) {
+                    if write_frame(s, &body).is_ok() {
+                        break;
+                    }
+                    self.peers.remove(&to); // stale connection: retry
                 }
             }
-            if let Some(s) = self.peers.get_mut(&to) {
-                if write_frame(s, body).is_ok() {
-                    return;
-                }
-                self.peers.remove(&to); // stale connection: retry
+        }
+        self.frame_buf = body;
+    }
+
+    /// Writes one reply frame to client connection `conn`, forgetting
+    /// the connection if it is gone.
+    fn reply(&self, conn: u64, body: &[u8]) {
+        let mut writers = self.writers.lock();
+        if let Some(s) = writers.get_mut(&conn) {
+            if write_frame(s, body).is_err() {
+                writers.remove(&conn);
             }
         }
     }
 }
 
-impl FrameTransport for TcpHandler<'_> {
+impl FrameTransport for TcpPort {
     fn deposit(&mut self, to: NodeId, msgs: Vec<Message>) {
-        let mut body = std::mem::take(self.frame_buf);
-        encode_peer_frame_ctx_into(self.node, &msgs, self.ctx, &mut body);
-        self.write_to(to, &body);
-        *self.frame_buf = body;
+        self.send_frame(&[to], &msgs);
     }
 
     fn deposit_all(&mut self, dests: &[NodeId], msgs: Vec<Message>) {
-        // Broadcast: encode once (into the reused scratch), write the
-        // same bytes to every socket.
-        let mut body = std::mem::take(self.frame_buf);
-        encode_peer_frame_ctx_into(self.node, &msgs, self.ctx, &mut body);
-        for &to in dests {
-            self.write_to(to, &body);
-        }
-        *self.frame_buf = body;
+        self.send_frame(dests, &msgs);
     }
 
     fn set_ctx(&mut self, ctx: Option<TraceCtx>) {
@@ -816,74 +673,86 @@ impl FrameTransport for TcpHandler<'_> {
     }
 }
 
-impl ActionSink for TcpHandler<'_> {
-    fn persist(&mut self, key: Key, ts: Ts, value: Value, _background: bool) {
-        let ns = self.durable.device().persist_ns(value.len() as u64);
-        let lsn = self.durable.persist(key, ts, value.clone());
-        // Mirror the persist to the on-disk log so it survives a real
-        // process restart (the rejoin path replays this file).
-        if let Some(f) = self.log_file.as_mut() {
-            let _ = f.write_all(&encode_entries(&[LogEntry {
-                lsn,
-                key,
-                ts,
-                value,
-            }]));
+impl Port for TcpPort {
+    fn after(&mut self, ns: u64, event: Event) {
+        let input = In::Local(event, self.ctx);
+        // No delay needs no wheel: straight into the inbox.
+        if ns == 0 {
+            let _ = self.engine_tx.send(input);
+        } else {
+            self.scheduler.send_after(ns, NodeId(0), input);
         }
-        self.scheduler
-            .send_after(ns, NodeId(0), In::PersistDone(key, ts, self.ctx));
     }
 
-    fn redirect(&mut self, _to: NodeId, _event: Event) {
+    fn complete(&mut self, req: ReqId, outcome: Outcome) {
+        if let Some((conn, creq)) = self.pending.remove(&req) {
+            self.reply(conn, &encode_reply(creq, &outcome));
+        }
+    }
+
+    fn redirect(&mut self, to: NodeId, event: Event) {
         // Client-op routing happens at the client ([`ShardedTcpClient`]),
         // so a correctly routed deployment never redirects. An op that
-        // reaches a non-replica anyway is dropped — indistinguishable
-        // from a lost frame, and the client times out.
+        // reaches a non-replica anyway is refused (status 0), naming a
+        // node that would have taken it.
+        let (Event::ClientWrite { req, .. }
+        | Event::ClientRead { req, .. }
+        | Event::ClientPersistScope { req, .. }) = event
+        else {
+            return;
+        };
+        if let Some((conn, creq)) = self.pending.remove(&req) {
+            let mut body = reply_head(creq, 0);
+            body.extend_from_slice(format!("not a replica of the key; try {to}").as_bytes());
+            self.reply(conn, &body);
+        }
     }
 
-    fn defer(&mut self, event: Event, _class: DelayClass) {
-        let _ = self.engine_tx.send(In::Local(event, self.ctx));
-    }
-
-    fn write_done(&mut self, req: ReqId, _key: Key, ts: Ts, _obsolete: bool) {
-        respond(self.writers, self.pending, req, |b| {
-            b.push(1);
-            b.extend_from_slice(&ts.version.to_le_bytes());
-            b.extend_from_slice(&ts.node.0.to_le_bytes());
-        });
-    }
-
-    fn read_done(&mut self, req: ReqId, _key: Key, value: Value, ts: Ts) {
-        respond(self.writers, self.pending, req, |b| {
-            b.push(2);
-            b.extend_from_slice(&ts.version.to_le_bytes());
-            b.extend_from_slice(&ts.node.0.to_le_bytes());
-            b.extend_from_slice(&value);
-        });
-    }
-
-    fn persist_scope_done(&mut self, req: ReqId, _scope: ScopeId) {
-        respond(self.writers, self.pending, req, |b| b.push(3));
+    /// Appends to the on-disk log, so the entries survive a real process
+    /// restart (the rejoin path replays this file).
+    fn mirror(&mut self, entries: &[LogEntry]) {
+        if let Some(f) = self.log_file.as_mut() {
+            let _ = f.write_all(&encode_entries(entries));
+        }
     }
 }
 
-fn respond(
-    writers: &Arc<Mutex<HashMap<u64, TcpStream>>>,
-    pending: &mut HashMap<ReqId, (u64, u64)>,
-    req: ReqId,
-    fill: impl FnOnce(&mut Vec<u8>),
-) {
-    let Some((conn, creq)) = pending.remove(&req) else {
-        return;
-    };
-    let mut body = creq.to_le_bytes().to_vec();
-    fill(&mut body);
-    let mut writers = writers.lock();
-    if let Some(s) = writers.get_mut(&conn) {
-        if write_frame(s, &body).is_err() {
-            writers.remove(&conn);
+/// The `[u64 client-req][u8 status]` prefix every reply starts with.
+fn reply_head(creq: u64, status: u8) -> Vec<u8> {
+    let mut b = creq.to_le_bytes().to_vec();
+    b.push(status);
+    b
+}
+
+/// Encodes the reply to a completed client op (statuses 1–3 of the
+/// module docs).
+fn encode_reply(creq: u64, outcome: &Outcome) -> Vec<u8> {
+    match outcome {
+        Outcome::Write { ts, .. } => {
+            let mut b = reply_head(creq, 1);
+            put_ts(&mut b, *ts);
+            b
         }
+        Outcome::Read { value, ts } => {
+            let mut b = reply_head(creq, 2);
+            put_ts(&mut b, *ts);
+            b.extend_from_slice(value);
+            b
+        }
+        Outcome::PersistScope { .. } => reply_head(creq, 3),
     }
+}
+
+fn put_ts(b: &mut Vec<u8>, ts: Ts) {
+    b.extend_from_slice(&ts.version.to_le_bytes());
+    b.extend_from_slice(&ts.node.0.to_le_bytes());
+}
+
+/// Reads the `[u32 version][u16 node]` [`put_ts`] wrote at the head of `b`.
+fn get_ts(b: &[u8]) -> Option<Ts> {
+    let version = u32::from_le_bytes(b.get(..4)?.try_into().ok()?);
+    let node = NodeId(u16::from_le_bytes(b.get(4..6)?.try_into().ok()?));
+    Some(Ts { version, node })
 }
 
 fn parse_client_request(frame: &[u8]) -> Option<(u64, ClientOp, Option<TraceCtx>)> {
@@ -956,10 +825,8 @@ fn parse_client_request(frame: &[u8]) -> Option<(u64, ClientOp, Option<TraceCtx>
             let mut have = Vec::with_capacity(count.min(1 << 16));
             for _ in 0..count {
                 let key = Key(u64::from_le_bytes(rest.get(..8)?.try_into().ok()?));
-                let version = u32::from_le_bytes(rest.get(8..12)?.try_into().ok()?);
-                let node = NodeId(u16::from_le_bytes(rest.get(12..14)?.try_into().ok()?));
+                have.push((key, get_ts(&rest[8..])?));
                 rest = &rest[14..];
-                have.push((key, Ts { version, node }));
             }
             if !rest.is_empty() {
                 return None;
@@ -992,8 +859,7 @@ fn encode_log_dump(entries: &[LogEntry], body: &mut Vec<u8>) {
     for e in entries {
         body.extend_from_slice(&e.lsn.to_le_bytes());
         body.extend_from_slice(&e.key.0.to_le_bytes());
-        body.extend_from_slice(&e.ts.version.to_le_bytes());
-        body.extend_from_slice(&e.ts.node.0.to_le_bytes());
+        put_ts(body, e.ts);
         body.extend_from_slice(
             &u32::try_from(e.value.len())
                 .unwrap_or(u32::MAX)
@@ -1011,15 +877,14 @@ fn decode_log_dump(mut rest: &[u8]) -> Option<Vec<LogEntry>> {
     for _ in 0..count {
         let lsn = u64::from_le_bytes(rest.get(..8)?.try_into().ok()?);
         let key = Key(u64::from_le_bytes(rest.get(8..16)?.try_into().ok()?));
-        let version = u32::from_le_bytes(rest.get(16..20)?.try_into().ok()?);
-        let node = NodeId(u16::from_le_bytes(rest.get(20..22)?.try_into().ok()?));
+        let ts = get_ts(&rest[16..])?;
         let len = u32::from_le_bytes(rest.get(22..26)?.try_into().ok()?) as usize;
         let value = Value::copy_from_slice(rest.get(26..26 + len)?);
         rest = &rest[26 + len..];
         entries.push(LogEntry {
             lsn,
             key,
-            ts: Ts { version, node },
+            ts,
             value,
         });
     }
@@ -1056,53 +921,54 @@ impl TcpClient {
         self.trace_ctx = ctx.filter(|c| !c.is_empty());
     }
 
-    fn roundtrip(&mut self, mut body: Vec<u8>) -> std::io::Result<Vec<u8>> {
+    /// One request/response exchange: sends `[op][creq][payload]`
+    /// (trace-stamped when a context is set) and returns the reply frame
+    /// — `[creq][status][payload]` — once its status says `op` was done.
+    fn call(&mut self, op: u8, payload: &[u8]) -> std::io::Result<Vec<u8>> {
+        let creq = self.next_req;
+        self.next_req += 1;
+        let mut body = vec![op];
+        body.extend_from_slice(&creq.to_le_bytes());
         if let Some(ctx) = self.trace_ctx {
-            // Stamp after the fixed [op][creq] prefix all requests share.
+            // The context rides between the fixed [op][creq] prefix all
+            // requests share and the op's payload.
             body[0] |= CLIENT_CTX_FLAG;
-            let mut tail = body.split_off(9);
             body.extend_from_slice(&ctx.encode());
-            body.append(&mut tail);
         }
+        body.extend_from_slice(payload);
         write_frame(&mut self.stream, &body)?;
         let resp = read_frame(&mut self.stream)?;
-        if resp.len() < 9 {
-            return Err(std::io::Error::other("short response"));
+        match resp.get(8) {
+            Some(&status) if status == op => Ok(resp),
+            Some(0) => Err(std::io::Error::other(format!(
+                "node refused op {op}: {}",
+                String::from_utf8_lossy(&resp[9..])
+            ))),
+            Some(status) => Err(std::io::Error::other(format!(
+                "unexpected status {status} in response to op {op}"
+            ))),
+            None => Err(std::io::Error::other("short response")),
         }
-        Ok(resp)
-    }
-
-    fn fresh(&mut self) -> u64 {
-        let r = self.next_req;
-        self.next_req += 1;
-        r
     }
 
     /// Writes `value` under `key`; returns the write's timestamp.
     ///
     /// # Errors
     ///
-    /// Propagates socket errors and malformed responses.
+    /// Propagates socket errors, refusals (a node that does not
+    /// replicate `key`) and malformed responses.
     pub fn put(&mut self, key: Key, value: &[u8], scope: Option<ScopeId>) -> std::io::Result<Ts> {
-        let creq = self.fresh();
-        let mut body = vec![1u8];
-        body.extend_from_slice(&creq.to_le_bytes());
-        body.extend_from_slice(&key.0.to_le_bytes());
+        let mut payload = key.0.to_le_bytes().to_vec();
         match scope {
             Some(sc) => {
-                body.push(1);
-                body.extend_from_slice(&sc.0.to_le_bytes());
+                payload.push(1);
+                payload.extend_from_slice(&sc.0.to_le_bytes());
             }
-            None => body.push(0),
+            None => payload.push(0),
         }
-        body.extend_from_slice(value);
-        let resp = self.roundtrip(body)?;
-        if resp[8] != 1 || resp.len() < 15 {
-            return Err(std::io::Error::other("unexpected put response"));
-        }
-        let version = u32::from_le_bytes(resp[9..13].try_into().unwrap());
-        let node = NodeId(u16::from_le_bytes(resp[13..15].try_into().unwrap()));
-        Ok(Ts { version, node })
+        payload.extend_from_slice(value);
+        let resp = self.call(1, &payload)?;
+        get_ts(&resp[9..]).ok_or_else(|| std::io::Error::other("malformed put response"))
     }
 
     /// Reads `key` from the connected node.
@@ -1121,17 +987,10 @@ impl TcpClient {
     ///
     /// Propagates socket errors and malformed responses.
     pub fn get_versioned(&mut self, key: Key) -> std::io::Result<(Vec<u8>, Ts)> {
-        let creq = self.fresh();
-        let mut body = vec![2u8];
-        body.extend_from_slice(&creq.to_le_bytes());
-        body.extend_from_slice(&key.0.to_le_bytes());
-        let resp = self.roundtrip(body)?;
-        if resp[8] != 2 || resp.len() < 15 {
-            return Err(std::io::Error::other("unexpected get response"));
-        }
-        let version = u32::from_le_bytes(resp[9..13].try_into().unwrap());
-        let node = NodeId(u16::from_le_bytes(resp[13..15].try_into().unwrap()));
-        Ok((resp[15..].to_vec(), Ts { version, node }))
+        let resp = self.call(2, &key.0.to_le_bytes())?;
+        let ts =
+            get_ts(&resp[9..]).ok_or_else(|| std::io::Error::other("malformed get response"))?;
+        Ok((resp[15..].to_vec(), ts))
     }
 
     /// Dumps the connected node's durable log (op 4) — the post-crash
@@ -1141,13 +1000,7 @@ impl TcpClient {
     ///
     /// Propagates socket errors and malformed responses.
     pub fn dump_durable(&mut self) -> std::io::Result<Vec<LogEntry>> {
-        let creq = self.fresh();
-        let mut body = vec![4u8];
-        body.extend_from_slice(&creq.to_le_bytes());
-        let resp = self.roundtrip(body)?;
-        if resp[8] != 4 {
-            return Err(std::io::Error::other("unexpected dump response"));
-        }
+        let resp = self.call(4, &[])?;
         decode_log_dump(&resp[9..]).ok_or_else(|| std::io::Error::other("malformed log dump"))
     }
 
@@ -1160,19 +1013,15 @@ impl TcpClient {
     ///
     /// Propagates socket errors and malformed responses.
     pub fn fetch_delta(&mut self, have: &[(Key, Ts)]) -> std::io::Result<Vec<LogEntry>> {
-        let creq = self.fresh();
-        let mut body = vec![5u8];
-        body.extend_from_slice(&creq.to_le_bytes());
-        body.extend_from_slice(&u32::try_from(have.len()).unwrap_or(u32::MAX).to_le_bytes());
+        let mut payload = u32::try_from(have.len())
+            .unwrap_or(u32::MAX)
+            .to_le_bytes()
+            .to_vec();
         for (key, ts) in have {
-            body.extend_from_slice(&key.0.to_le_bytes());
-            body.extend_from_slice(&ts.version.to_le_bytes());
-            body.extend_from_slice(&ts.node.0.to_le_bytes());
+            payload.extend_from_slice(&key.0.to_le_bytes());
+            put_ts(&mut payload, *ts);
         }
-        let resp = self.roundtrip(body)?;
-        if resp[8] != 5 {
-            return Err(std::io::Error::other("unexpected delta response"));
-        }
+        let resp = self.call(5, &payload)?;
         decode_log_dump(&resp[9..]).ok_or_else(|| std::io::Error::other("malformed delta"))
     }
 
@@ -1186,16 +1035,8 @@ impl TcpClient {
     ///
     /// Propagates socket errors and malformed responses.
     pub fn set_peer_status(&mut self, peer: NodeId, up: bool) -> std::io::Result<()> {
-        let creq = self.fresh();
-        let mut body = vec![6u8];
-        body.extend_from_slice(&creq.to_le_bytes());
-        body.extend_from_slice(&peer.0.to_le_bytes());
-        body.push(u8::from(up));
-        let resp = self.roundtrip(body)?;
-        if resp[8] != 6 {
-            return Err(std::io::Error::other("unexpected peer-status response"));
-        }
-        Ok(())
+        let [lo, hi] = peer.0.to_le_bytes();
+        self.call(6, &[lo, hi, u8::from(up)]).map(drop)
     }
 
     /// Issues a `[PERSIST]sc` for `scope`.
@@ -1204,15 +1045,7 @@ impl TcpClient {
     ///
     /// Propagates socket errors and malformed responses.
     pub fn persist_scope(&mut self, scope: ScopeId) -> std::io::Result<()> {
-        let creq = self.fresh();
-        let mut body = vec![3u8];
-        body.extend_from_slice(&creq.to_le_bytes());
-        body.extend_from_slice(&scope.0.to_le_bytes());
-        let resp = self.roundtrip(body)?;
-        if resp[8] != 3 {
-            return Err(std::io::Error::other("unexpected persist response"));
-        }
-        Ok(())
+        self.call(3, &scope.0.to_le_bytes()).map(drop)
     }
 }
 

@@ -402,3 +402,45 @@ fn tcp_node_rejoins_with_log_replay_and_donor_catchup() {
     }
     let _ = std::fs::remove_file(&log_path);
 }
+
+/// A write sent to a node that does not replicate its key is refused
+/// (status 0) instead of being dropped: the client gets an error naming
+/// the reason, and the connection stays usable. (Before the fix the
+/// node kept the request pending forever and the blocking client hung,
+/// hence the watchdog thread.)
+#[test]
+fn misrouted_tcp_write_is_refused_not_dropped() {
+    // 2 shards × 2 replicas over 4 nodes: odd keys live on {2,3} only.
+    let map = ShardMap::uniform(2, 4, 2);
+    let (nodes, clients) = spawn_tcp_cluster_full(
+        4,
+        DdpModel::lin(PersistencyModel::Synchronous),
+        false,
+        false,
+        Some(map.clone()),
+    );
+    assert!(!map.is_replica(NodeId(0), Key(1)) && map.is_replica(NodeId(0), Key(2)));
+
+    let (tx, rx) = std::sync::mpsc::channel();
+    let addr = clients[0];
+    std::thread::spawn(move || {
+        let mut c = TcpClient::connect(addr).unwrap();
+        let misrouted = c.put(Key(1), b"lost?", None);
+        let routed = c.put(Key(2), b"fine", None);
+        let _ = tx.send((misrouted, routed));
+    });
+    let (misrouted, routed) = rx
+        .recv_timeout(Duration::from_secs(2))
+        .expect("a mis-routed put must be answered, not left hanging");
+    let err = misrouted.expect_err("node 0 does not replicate key 1");
+    assert!(err.to_string().contains("not a replica"), "{err}");
+    routed.expect("the connection survives a refused op");
+
+    // Nothing of the refused write was applied anywhere.
+    let mut c = ShardedTcpClient::new(map, NodeId(0), clients);
+    assert_eq!(c.get(Key(1)).unwrap(), b"");
+    assert_eq!(c.get(Key(2)).unwrap(), b"fine");
+    for n in nodes {
+        n.shutdown();
+    }
+}

@@ -13,7 +13,8 @@
 //!   real durable state per node;
 //! * [`recovery`] — the §III-E log-shipping recovery: a designated node
 //!   ships the committed log suffix to a rejoining node, which replays it
-//!   into volatile and durable state.
+//!   into durable and volatile state ([`recovery::recover_into`], shared
+//!   with the live runtimes in `minos-cluster`).
 //!
 //! # Example
 //!

@@ -2,6 +2,7 @@
 
 use crate::durable::DurableState;
 use crate::hash_key;
+use crate::recovery::recover_into;
 use minos_core::runtime::{ActionSink, DispatchStats, Dispatcher, ShardRouter, Transport};
 use minos_core::{DelayClass, EngineStats, Event, NodeEngine, ReqId};
 use minos_types::{
@@ -307,18 +308,11 @@ impl MinosKv {
         assert!(self.failed[node.0 as usize], "{node} is not failed");
         assert!(!self.failed[donor.0 as usize], "donor {donor} is failed");
 
-        // Ship everything the rejoining node is missing. The donor sends
-        // its whole live log suffix from the rejoiner's high-water mark;
-        // obsolete entries are skipped during replay.
-        let from = 0; // conservative: replay full log (idempotent)
-        let entries = self.durable[donor.0 as usize].entries_since(from);
-        let ni = node.0 as usize;
-        self.durable[ni].replay(&entries);
-
         // The crash wiped volatile state: rebuild the engine so no stale
         // transaction or lock survives (re-installing the cluster
         // placement), then re-exclude any other nodes that are still
         // failed.
+        let ni = node.0 as usize;
         self.engines[ni] = NodeEngine::new(node, self.engines.len(), self.model);
         self.engines[ni].set_placement(self.router.map().cloned());
         for (i, f) in self.failed.iter().enumerate() {
@@ -327,16 +321,11 @@ impl MinosKv {
             }
         }
 
-        // Reload the volatile replica from the recovered durable state:
-        // these updates are already globally consistent and durable, so
-        // they are installed directly (no protocol traffic).
-        let records: Vec<(Key, Ts, Value)> = self.durable[ni]
-            .iter_durable()
-            .map(|(k, (ts, v))| (*k, *ts, v.clone()))
-            .collect();
-        for (key, ts, value) in records {
-            self.engines[ni].install_recovered(key, ts, value);
-        }
+        // The donor ships its whole log (conservative: replay is
+        // idempotent and skips obsolete entries); the rejoiner replays it
+        // and reloads its volatile replica from the result.
+        let entries = self.durable[donor.0 as usize].entries_since(0);
+        recover_into(&mut self.durable[ni], &entries, &mut self.engines[ni]);
 
         self.failed[ni] = false;
         for e in &mut self.engines {

@@ -1,13 +1,13 @@
 //! Crash-point torture for §III-E recovery: the durable log is cut at
 //! every byte offset — entry boundaries and torn mid-entry writes — and
 //! the rejoiner must reconverge with the donor from whatever clean
-//! prefix survived, via the same `plan_shipment`/`rebuild_volatile`
-//! path the live runtimes use.
+//! prefix survived, via the same `recover_into` the live runtimes use.
 
-use minos_kv::recovery::{plan_shipment, rebuild_volatile};
+use minos_core::NodeEngine;
+use minos_kv::recovery::recover_into;
 use minos_kv::DurableState;
 use minos_nvm::log::{decode_entries, encode_entries, DecodeOutcome};
-use minos_types::{Key, NodeId, Ts, Value};
+use minos_types::{DdpModel, Key, NodeId, PersistencyModel, Ts, Value};
 use std::collections::BTreeMap;
 
 fn ts(n: u16, v: u32) -> Ts {
@@ -36,16 +36,17 @@ fn durable_map(state: &DurableState) -> BTreeMap<Key, (Ts, Value)> {
 }
 
 /// Recover a rejoiner from a truncated log image: decode the clean
-/// prefix, replay it, then ship the donor's suffix from the rejoiner's
-/// watermark — exactly the live `recover_node` path, but with the NVM
-/// image cut at an arbitrary byte.
-fn recover_from_cut(donor: &DurableState, bytes: &[u8]) -> DurableState {
+/// prefix and recover from it, then from the donor's suffix past the
+/// rejoiner's watermark — exactly the live start-up rejoin (own log, then
+/// donor catch-up), but with the NVM image cut at an arbitrary byte.
+fn recover_from_cut(donor: &DurableState, bytes: &[u8]) -> (DurableState, NodeEngine) {
     let (prefix, _) = decode_entries(bytes);
     let mut rejoiner = DurableState::new();
-    rejoiner.replay(&prefix);
-    let shipment = plan_shipment(donor, rejoiner.head());
-    rejoiner.replay(&shipment);
-    rejoiner
+    let mut engine = NodeEngine::new(NodeId(3), 4, DdpModel::lin(PersistencyModel::Synchronous));
+    recover_into(&mut rejoiner, &prefix, &mut engine);
+    let shipment = donor.entries_since(rejoiner.head());
+    recover_into(&mut rejoiner, &shipment, &mut engine);
+    (rejoiner, engine)
 }
 
 #[test]
@@ -60,7 +61,7 @@ fn recovery_reconverges_from_every_truncation_point() {
             full[..prefix.len()],
             "cut at {cut}: decoded prefix diverges from the original log"
         );
-        let rejoiner = recover_from_cut(&donor, &bytes[..cut]);
+        let (rejoiner, _) = recover_from_cut(&donor, &bytes[..cut]);
         assert_eq!(
             durable_map(&rejoiner),
             durable_map(&donor),
@@ -86,7 +87,7 @@ fn recovery_reconverges_from_torn_writes() {
             prefix.len() <= full.len() && prefix[..] == full[..prefix.len()],
             "bit flip at {at}: decoder surfaced corrupt entries"
         );
-        let rejoiner = recover_from_cut(&donor, &torn);
+        let (rejoiner, _) = recover_from_cut(&donor, &torn);
         assert_eq!(
             durable_map(&rejoiner),
             durable_map(&donor),
@@ -101,13 +102,15 @@ fn volatile_rebuild_matches_durable_newest_at_every_cut() {
     let full = donor.entries_since(0);
     let bytes = encode_entries(&full);
     for cut in 0..=bytes.len() {
-        let rejoiner = recover_from_cut(&donor, &bytes[..cut]);
-        let rebuilt = rebuild_volatile(&rejoiner.entries_since(0));
+        let (rejoiner, engine) = recover_from_cut(&donor, &bytes[..cut]);
         let durable = durable_map(&rejoiner);
-        assert_eq!(rebuilt.len(), durable.len(), "cut at {cut}");
-        for (key, rts, rv) in rebuilt {
-            let (dts, dv) = &durable[&key];
-            assert_eq!((rts, &rv), (*dts, dv), "cut at {cut}, {key}");
+        assert_eq!(engine.keys().len(), durable.len(), "cut at {cut}");
+        for (key, (dts, dv)) in &durable {
+            let rebuilt = (
+                engine.record_meta(*key).volatile_ts,
+                engine.record_value(*key),
+            );
+            assert_eq!(rebuilt, (*dts, Some(dv.clone())), "cut at {cut}, {key}");
         }
     }
 }

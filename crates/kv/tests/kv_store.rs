@@ -1,7 +1,8 @@
 //! Integration tests for MINOS-KV: the client-facing store semantics,
 //! durability, and §III-E failure/recovery.
 
-use minos_kv::{hash_key, recovery, MinosKv};
+use minos_core::NodeEngine;
+use minos_kv::{hash_key, recovery, DurableState, MinosKv};
 use minos_types::{DdpModel, MinosError, NodeId, PersistencyModel, ScopeId, Ts};
 
 fn synch() -> DdpModel {
@@ -154,14 +155,12 @@ fn recovery_module_round_trip() {
     kv.put(NodeId(0), "x", "1").unwrap();
     kv.put(NodeId(1), "x", "2").unwrap();
     kv.put(NodeId(0), "y", "3").unwrap();
-    let shipment = recovery::plan_shipment(kv.durable(NodeId(0)), 0);
-    let rebuilt = recovery::rebuild_volatile(&shipment);
-    assert_eq!(rebuilt.len(), 2);
-    let x = rebuilt
-        .iter()
-        .find(|(k, _, _)| *k == hash_key("x"))
-        .unwrap();
-    assert_eq!(x.2, "2", "newest version wins");
+    let shipment = kv.durable(NodeId(0)).entries_since(0);
+    let (mut durable, mut engine) = (DurableState::new(), NodeEngine::new(NodeId(1), 2, synch()));
+    recovery::recover_into(&mut durable, &shipment, &mut engine);
+    assert_eq!(engine.keys().len(), 2);
+    let x = engine.record_value(hash_key("x")).unwrap();
+    assert_eq!(x, "2", "newest version wins");
 }
 
 #[test]

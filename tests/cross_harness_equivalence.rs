@@ -1,8 +1,10 @@
-//! The same protocol engines run under four harnesses (loopback cluster,
-//! discrete-event simulator, threaded cluster, model checker). These tests
-//! pin down that the harnesses agree on protocol outcomes.
+//! The same protocol engines run under five harnesses (loopback cluster,
+//! discrete-event simulator, threaded cluster, TCP cluster, model
+//! checker). These tests pin down that the harnesses agree on protocol
+//! outcomes.
 
 use minos::check::HistoryRecorder;
+use minos::cluster::tcp::{TcpClient, TcpNode, TcpNodeConfig};
 use minos::cluster::Cluster;
 use minos::core::loopback::{BCluster, LoopProtocol, Loopback, OCluster};
 use minos::core::obs::{shared, OpKind, RingRecorder, SharedSink};
@@ -232,6 +234,69 @@ fn threaded_trace(model: DdpModel, scoped: bool) -> ParityTrace {
     trace
 }
 
+/// The live-node leg over real sockets: three in-process TCP nodes, one
+/// blocking client per node.
+fn tcp_trace(model: DdpModel, scoped: bool) -> ParityTrace {
+    let free_addrs = || -> Vec<std::net::SocketAddr> {
+        let bind = |_| std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        (0..3).map(bind).map(|l| l.local_addr().unwrap()).collect()
+    };
+    let (peers, client_addrs) = (free_addrs(), free_addrs());
+    let nodes: Vec<TcpNode> = (0..3)
+        .map(|i| {
+            TcpNode::serve(TcpNodeConfig {
+                node: NodeId(i as u16),
+                model,
+                peers: peers.clone(),
+                client_addr: client_addrs[i],
+                persist_ns_per_kb: 1295,
+                batching: false,
+                broadcast: false,
+                trace_out: None,
+                metrics_out: None,
+                metrics_interval: std::time::Duration::from_secs(1),
+                chaos: None,
+                fault: None,
+                placement: None,
+                nvm_log: None,
+                rejoin_donor: None,
+            })
+            .expect("bind node")
+        })
+        .collect();
+    let mut conns: Vec<TcpClient> = client_addrs
+        .iter()
+        .map(|&a| TcpClient::connect(a).unwrap())
+        .collect();
+    let mut trace = ParityTrace::default();
+    for op in parity_ops() {
+        match op {
+            POp::Write(node, key, v) => {
+                let scope = scoped.then(|| scope_of(node));
+                let ts = conns[node.0 as usize]
+                    .put(key, v.as_bytes(), scope)
+                    .unwrap();
+                trace.write(key, ts, v.into());
+            }
+            POp::Read(node, key) => {
+                let (value, ts) = conns[node.0 as usize].get_versioned(key).unwrap();
+                trace.read(key, ts, Some(&Value::from(value)));
+            }
+            POp::PersistScope(node) => {
+                if scoped {
+                    conns[node.0 as usize]
+                        .persist_scope(scope_of(node))
+                        .unwrap();
+                }
+            }
+        }
+    }
+    for n in nodes {
+        n.shutdown();
+    }
+    trace
+}
+
 /// One step of the sharded parity workload (2 shards × 2 replicas over
 /// 4 nodes; even keys → shard 0 = {0,1}, odd keys → shard 1 = {2,3}).
 enum SOp {
@@ -418,7 +483,7 @@ fn sharded_dispatch_parity_loopback_vs_simulator() {
 #[test]
 fn dispatch_parity_across_loopback_threaded_and_simulator() {
     // The tentpole guarantee of the shared runtime dispatcher: one
-    // workload replayed through three harnesses produces identical
+    // workload replayed through four harnesses produces identical
     // per-key value/version completion sequences under every
     // persistency model.
     for model in all_models() {
@@ -426,8 +491,10 @@ fn dispatch_parity_across_loopback_threaded_and_simulator() {
         let lo = loopback_trace::<Baseline>(model, scoped);
         let sim = simulator_trace::<Baseline>(Arch::baseline(), model, scoped);
         let th = threaded_trace(model, scoped);
+        let tcp = tcp_trace(model, scoped);
         assert_eq!(lo, sim, "{model}: loopback vs simulator divergence");
         assert_eq!(lo, th, "{model}: loopback vs threaded divergence");
+        assert_eq!(lo, tcp, "{model}: loopback vs TCP divergence");
         // MINOS-O has no live runtime yet: its leg is loopback vs DES.
         let lo = loopback_trace::<Offload>(model, scoped);
         let sim = simulator_trace::<Offload>(Arch::minos_o(), model, scoped);
