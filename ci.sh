@@ -14,7 +14,12 @@
 #                      250 seeds per runtime (50 × all 5 models) with up
 #                      to two crash→rejoin points per schedule — rolling
 #                      restarts under load, audited by the epoch-aware
-#                      oracles. The nightly block (500 seeds per model
+#                      oracles. Every block terminates by construction:
+#                      a client call on either runtime gives up after
+#                      OP_TIMEOUT (10 s), and an op left unanswered by a
+#                      coordinator that stayed up fails its seed with a
+#                      `liveness:` violation instead of hanging the
+#                      sweep. The nightly block (500 seeds per model
 #                      per runtime) is documented in EXPERIMENTS.md
 #                      §Verification.
 #   ./ci.sh --bench  — additionally runs the minos-bench quick sweep,
@@ -54,13 +59,22 @@ cargo fmt --all -- --check
 echo "==> cargo clippy (-D warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> structure: one handler stack and one action sink for both live runtimes"
+echo "==> structure: one handler stack, one action sink and one torture driver for both live runtimes"
 # The threaded and TCP runtimes share `NodeCore` (crates/cluster/src/node.rs):
 # a second copy of the dispatch stack or of the sink is the twin growing back.
 for pat in 'Batched::new(' 'ChaosNet::new(' 'impl.* ActionSink for '; do
     n=$(cat crates/cluster/src/*.rs | grep -c "$pat" || true)
     if [ "$n" -gt 1 ]; then
         echo "crates/cluster/src has $n x '$pat' (at most 1 allowed): build on NodeCore/Port instead" >&2
+        exit 1
+    fi
+done
+# Likewise the torture harness: one client mix and one set of client
+# threads (`drive` in crates/check/src/torture.rs) serve both runtimes.
+for pat in 'match roll(' 'thread::scope('; do
+    n=$(grep -c "$pat" crates/check/src/torture.rs || true)
+    if [ "$n" -gt 1 ]; then
+        echo "crates/check/src/torture.rs has $n x '$pat' (at most 1 allowed): extend Target/Client instead" >&2
         exit 1
     fi
 done

@@ -11,12 +11,10 @@
 //! Runs `--seeds` consecutive seeds per selected model. Each seed derives
 //! a deterministic chaos schedule: message delays/reorders plus up to
 //! `--max-crashes` crash/rejoin points — a rolling restart when several
-//! chain. On the threaded runtime a crash goes through the cluster
-//! facade's view machinery; on the TCP runtime the node process is
-//! stopped outright and re-served from its on-disk NVM log with a donor
-//! catch-up. Each seed then drives concurrent
-//! client traffic under it, and checks the run for linearizability and
-//! persistency conformance. On the first violation the schedule is
+//! chain. Each seed then drives concurrent client traffic under it, and
+//! checks the run for linearizability, persistency conformance and
+//! liveness ([`minos_check::torture`] describes a run step by step, and
+//! what `--runtime` changes). On the first violation the schedule is
 //! greedily shrunk and the reproducing seed plus minimal schedule are
 //! printed; exit status 1.
 //!
@@ -212,11 +210,8 @@ fn main() {
             opts = opts.sharded(shards, replicas);
         }
 
-        let result = if tcp {
-            torture(start, seeds, &opts, true, run_tcp, true)
-        } else {
-            torture(start, seeds, &opts, false, run_threaded, true)
-        };
+        let runner = if tcp { run_tcp } else { run_threaded };
+        let result = torture(start, seeds, &opts, runner, true);
         total_ops += result.ops_checked;
         if let Some(f) = result.failure {
             found_violation = true;

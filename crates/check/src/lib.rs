@@ -20,10 +20,10 @@
 //! * [`persistency`] — the five DDP durability oracles, checked against
 //!   end-of-run durable-log snapshots.
 //! * [`schedule`] + [`torture`] — seeded chaos. A `u64` seed derives a
-//!   deterministic injection schedule (message delays/reorders plus a
-//!   crash/recovery point); the torture drivers run concurrent client
-//!   traffic under it, check everything, and greedily shrink any
-//!   failing schedule to a minimal reproduction. The `minos-torture`
+//!   deterministic injection schedule (message delays/reorders plus
+//!   crash/rejoin points); the torture driver runs concurrent client
+//!   traffic under it on either live runtime, checks everything, and
+//!   greedily shrinks any failing schedule to a minimal reproduction. The `minos-torture`
 //!   binary fronts this (`ci.sh --chaos` runs it).
 //!
 //! With the `fault-injection` feature, deliberate protocol bugs

@@ -161,7 +161,7 @@ fn threaded_torture_chaos_seeds_run_clean() {
         let mut opts = TortureOptions::new(model);
         opts.clients = 2;
         opts.ops_per_client = 8;
-        let result = torture(1, 3, &opts, false, run_threaded, false);
+        let result = torture(1, 3, &opts, run_threaded, false);
         assert!(
             result.failure.is_none(),
             "{model:?}: {:?}",
@@ -182,7 +182,7 @@ fn sharded_threaded_torture_seeds_run_clean() {
         opts.clients = 2;
         opts.ops_per_client = 8;
         let opts = opts.sharded(2, 2);
-        let result = torture(1, 3, &opts, false, run_threaded, false);
+        let result = torture(1, 3, &opts, run_threaded, false);
         assert!(
             result.failure.is_none(),
             "{model:?}: {:?}",
@@ -197,7 +197,7 @@ fn threaded_torture_scope_flushes_run_clean() {
     let mut opts = TortureOptions::new(PersistencyModel::Scope);
     opts.clients = 2;
     opts.ops_per_client = 8;
-    let result = torture(1, 2, &opts, false, run_threaded, false);
+    let result = torture(1, 2, &opts, run_threaded, false);
     assert!(
         result.failure.is_none(),
         "{:?}",
@@ -210,7 +210,7 @@ fn tcp_torture_seed_runs_clean() {
     let mut opts = TortureOptions::new(PersistencyModel::Strict);
     opts.clients = 2;
     opts.ops_per_client = 6;
-    let result = torture(1, 1, &opts, true, run_tcp, false);
+    let result = torture(1, 1, &opts, run_tcp, false);
     assert!(
         result.failure.is_none(),
         "{:?}",
@@ -231,7 +231,7 @@ fn armed_fault_is_found_and_shrunk() {
         opts.clients = 2;
         opts.ops_per_client = 8;
         opts.fault = Some(FaultSpec { node, kind });
-        let result = torture(1, 100, &opts, false, run_threaded, false);
+        let result = torture(1, 100, &opts, run_threaded, false);
         let failure = result
             .failure
             .unwrap_or_else(|| panic!("{kind:?}@{node}: no violation in 100 seeds"));
@@ -247,7 +247,7 @@ fn shrunk_schedules_replay_deterministically() {
     // A schedule's spec() must be a pure function of its fields: generate
     // the same seed twice and the injections must match.
     let opts = TortureOptions::new(PersistencyModel::Synchronous);
-    let sched_opts = opts.schedule_options(false);
+    let sched_opts = opts.schedule_options();
     let a = minos_check::schedule::generate(42, &sched_opts);
     let b = minos_check::schedule::generate(42, &sched_opts);
     assert_eq!(a.injections, b.injections);

@@ -159,7 +159,7 @@ fn threaded_torture_runs_every_new_scenario_under_every_model() {
             let mut opts = TortureOptions::new(model).with_workload(scenario);
             opts.clients = 2;
             opts.ops_per_client = 6;
-            let result = torture(1, 1, &opts, false, run_threaded, false);
+            let result = torture(1, 1, &opts, run_threaded, false);
             assert!(
                 result.failure.is_none(),
                 "{scenario}/{model:?}: {:?}",
@@ -177,7 +177,7 @@ fn threaded_torture_skew_storm_hammers_the_hot_head() {
     let mut opts = TortureOptions::new(PersistencyModel::Synchronous).with_workload(Scenario::Skew);
     opts.clients = 3;
     opts.ops_per_client = 10;
-    let result = torture(1, 2, &opts, false, run_threaded, false);
+    let result = torture(1, 2, &opts, run_threaded, false);
     assert!(
         result.failure.is_none(),
         "{:?}",
@@ -195,8 +195,8 @@ fn torture_workload_mixes_are_deterministic_per_seed() {
     opts.ops_per_client = 6;
     opts.allow_crash = false;
     opts.injections = 0;
-    let a = torture(5, 1, &opts, false, run_threaded, false);
-    let b = torture(5, 1, &opts, false, run_threaded, false);
+    let a = torture(5, 1, &opts, run_threaded, false);
+    let b = torture(5, 1, &opts, run_threaded, false);
     assert!(a.failure.is_none() && b.failure.is_none());
     assert_eq!(a.ops_checked, b.ops_checked);
 }

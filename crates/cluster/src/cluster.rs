@@ -41,6 +41,11 @@ pub enum Outcome {
     },
 }
 
+/// How long a client call waits for its answer before giving up, on both
+/// live runtimes: [`Cluster`]'s blocking calls and
+/// [`TcpClient`](crate::tcp::TcpClient)'s socket reads and writes.
+pub const OP_TIMEOUT: Duration = Duration::from_secs(10);
+
 pub(crate) type CompletionMap = Arc<Mutex<HashMap<ReqId, Sender<Outcome>>>>;
 
 /// A running threaded cluster.
@@ -236,13 +241,13 @@ impl Cluster {
     }
 
     fn wait(&self, node: NodeId, req: ReqId, rx: &Receiver<Outcome>) -> Result<Outcome> {
-        rx.recv_timeout(Duration::from_secs(10)).map_err(|err| {
+        rx.recv_timeout(OP_TIMEOUT).map_err(|err| {
             self.completions.lock().remove(&req);
             match err {
                 // The coordinator crashed with this op in flight and
                 // severed the reply channel (see `NodeMsg::Crash`).
                 RecvTimeoutError::Disconnected => MinosError::NodeFailed(node),
-                RecvTimeoutError::Timeout => MinosError::Shutdown,
+                RecvTimeoutError::Timeout => MinosError::TimedOut(node),
             }
         })
     }
@@ -253,8 +258,8 @@ impl Cluster {
     }
 
     /// One control-plane round-trip with `node`'s thread: sends the
-    /// message `build` makes around a reply channel and waits (10 s) for
-    /// the answer.
+    /// message `build` makes around a reply channel and waits
+    /// ([`OP_TIMEOUT`]) for the answer.
     fn ask<T>(&self, node: NodeId, build: impl FnOnce(Sender<T>) -> NodeMsg) -> Result<T> {
         let nt = self
             .nodes
@@ -262,7 +267,7 @@ impl Cluster {
             .ok_or(MinosError::UnknownNode(node))?;
         let (tx, rx) = bounded(1);
         nt.tx.send(build(tx)).map_err(|_| MinosError::Shutdown)?;
-        rx.recv_timeout(Duration::from_secs(10))
+        rx.recv_timeout(OP_TIMEOUT)
             .map_err(|_| MinosError::Shutdown)
     }
 
@@ -322,8 +327,9 @@ impl Cluster {
     /// # Errors
     ///
     /// [`MinosError::NodeFailed`] if `node` is failed;
-    /// [`MinosError::Shutdown`] if the cluster is stopping or the write
-    /// cannot complete within 10 s.
+    /// [`MinosError::Shutdown`] if the cluster is stopping;
+    /// [`MinosError::TimedOut`] if the write is still unanswered after
+    /// [`OP_TIMEOUT`].
     pub fn put(&self, node: NodeId, key: Key, value: Value) -> Result<Ts> {
         self.put_scoped(node, key, value, None)
     }

@@ -38,4 +38,4 @@ mod node;
 pub mod tcp;
 mod timer;
 
-pub use cluster::{Cluster, Outcome};
+pub use cluster::{Cluster, Outcome, OP_TIMEOUT};

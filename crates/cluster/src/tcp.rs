@@ -35,7 +35,7 @@
 //! — engine, dispatch stack, recovery — is the `NodeCore` it shares with
 //! the threaded runtime (`node.rs`), reached through a socket `Port`.
 
-use crate::cluster::Outcome;
+use crate::cluster::{Outcome, OP_TIMEOUT};
 use crate::node::{NodeCore, Port};
 use crate::timer::{Scheduler, TimerWheel};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
@@ -891,11 +891,16 @@ fn decode_log_dump(mut rest: &[u8]) -> Option<Vec<LogEntry>> {
     Some(entries)
 }
 
-/// A synchronous client for the TCP node protocol.
+/// A synchronous client for the TCP node protocol. Socket reads and
+/// writes give up after [`OP_TIMEOUT`], so a node that never answers
+/// costs its client one bounded wait, not a hang.
 pub struct TcpClient {
     stream: TcpStream,
     next_req: u64,
     trace_ctx: Option<TraceCtx>,
+    /// An exchange failed and the socket was shut down; every further
+    /// call fails at once.
+    failed: bool,
 }
 
 impl TcpClient {
@@ -905,10 +910,14 @@ impl TcpClient {
     ///
     /// Propagates connection errors.
     pub fn connect(addr: SocketAddr) -> std::io::Result<TcpClient> {
+        let stream = TcpStream::connect(addr)?;
+        stream.set_read_timeout(Some(OP_TIMEOUT))?;
+        stream.set_write_timeout(Some(OP_TIMEOUT))?;
         Ok(TcpClient {
-            stream: TcpStream::connect(addr)?,
+            stream,
             next_req: 1,
             trace_ctx: None,
+            failed: false,
         })
     }
 
@@ -924,6 +933,11 @@ impl TcpClient {
     /// One request/response exchange: sends `[op][creq][payload]`
     /// (trace-stamped when a context is set) and returns the reply frame
     /// — `[creq][status][payload]` — once its status says `op` was done.
+    ///
+    /// A request can be abandoned (timeout, socket error), and its reply
+    /// may still arrive later: the reply must echo this request's `creq`,
+    /// and a failed exchange shuts the socket down, so a late reply can
+    /// never answer the next request.
     fn call(&mut self, op: u8, payload: &[u8]) -> std::io::Result<Vec<u8>> {
         let creq = self.next_req;
         self.next_req += 1;
@@ -936,19 +950,36 @@ impl TcpClient {
             body.extend_from_slice(&ctx.encode());
         }
         body.extend_from_slice(payload);
-        write_frame(&mut self.stream, &body)?;
-        let resp = read_frame(&mut self.stream)?;
-        match resp.get(8) {
-            Some(&status) if status == op => Ok(resp),
-            Some(0) => Err(std::io::Error::other(format!(
+        let resp = self.exchange(creq, &body).inspect_err(|_| {
+            self.failed = true;
+            let _ = self.stream.shutdown(std::net::Shutdown::Both);
+        })?;
+        match resp[8] {
+            status if status == op => Ok(resp),
+            0 => Err(std::io::Error::other(format!(
                 "node refused op {op}: {}",
                 String::from_utf8_lossy(&resp[9..])
             ))),
-            Some(status) => Err(std::io::Error::other(format!(
+            status => Err(std::io::Error::other(format!(
                 "unexpected status {status} in response to op {op}"
             ))),
-            None => Err(std::io::Error::other("short response")),
         }
+    }
+
+    /// One frame out, one frame in; the reply must be the one to `creq`.
+    fn exchange(&mut self, creq: u64, body: &[u8]) -> std::io::Result<Vec<u8>> {
+        write_frame(&mut self.stream, body)?;
+        let resp = read_frame(&mut self.stream)?;
+        if resp.len() < 9 {
+            return Err(std::io::Error::other("short response"));
+        }
+        if resp[..8] != creq.to_le_bytes() {
+            return Err(std::io::Error::other(format!(
+                "reply answers request {}, not {creq}",
+                u64::from_le_bytes(resp[..8].try_into().expect("8 bytes"))
+            )));
+        }
+        Ok(resp)
     }
 
     /// Writes `value` under `key`; returns the write's timestamp.
@@ -1090,7 +1121,8 @@ impl ShardedTcpClient {
     }
 
     fn conn(&mut self, node: NodeId) -> std::io::Result<&mut TcpClient> {
-        if !self.conns.contains_key(&node) {
+        // A connection whose exchange failed is shut down: replace it.
+        if self.conns.get(&node).is_none_or(|c| c.failed) {
             let c = TcpClient::connect(self.client_addrs[node.0 as usize])?;
             self.conns.insert(node, c);
         }
@@ -1148,5 +1180,73 @@ impl ShardedTcpClient {
     /// Propagates socket errors and malformed responses.
     pub fn dump_durable(&mut self, node: NodeId) -> std::io::Result<Vec<LogEntry>> {
         self.conn(node)?.dump_durable()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A client connected to a one-connection server running `serve`.
+    fn client_of(serve: impl FnOnce(TcpStream) + Send + 'static) -> (TcpClient, JoinHandle<()>) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = TcpClient::connect(listener.local_addr().unwrap()).unwrap();
+        let server = std::thread::spawn(move || serve(listener.accept().unwrap().0));
+        (client, server)
+    }
+
+    #[test]
+    fn silent_node_costs_one_timeout_then_the_client_fails_fast() {
+        // The server holds the connection open and never answers.
+        let (release, held) = std::sync::mpsc::channel::<()>();
+        let (mut client, server) = client_of(move |_stream| {
+            let _ = held.recv();
+        });
+        assert_eq!(client.stream.read_timeout().unwrap(), Some(OP_TIMEOUT));
+        assert_eq!(client.stream.write_timeout().unwrap(), Some(OP_TIMEOUT));
+
+        let short = Duration::from_millis(50);
+        client.stream.set_read_timeout(Some(short)).unwrap();
+        let err = client.get(Key(1)).unwrap_err();
+        assert!(
+            matches!(
+                err.kind(),
+                std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+            ),
+            "{err}"
+        );
+
+        // The abandoned exchange shut the socket down: the next call does
+        // not wait out a second timeout.
+        client.stream.set_read_timeout(Some(OP_TIMEOUT)).unwrap();
+        let began = Instant::now();
+        assert!(client.get(Key(1)).is_err());
+        assert!(began.elapsed() < OP_TIMEOUT / 2);
+
+        drop(release);
+        server.join().unwrap();
+    }
+
+    #[test]
+    fn reply_to_another_request_is_refused() {
+        // What a late reply to an abandoned request would look like: a
+        // well-formed read-done answering a different `creq`.
+        let (mut client, server) = client_of(|mut stream| {
+            let req = read_frame(&mut stream).unwrap();
+            let creq = u64::from_le_bytes(req[1..9].try_into().unwrap());
+            let mut reply = reply_head(creq + 7, 2);
+            put_ts(&mut reply, Ts::new(NodeId(0), 1));
+            write_frame(&mut stream, &reply).unwrap();
+            // Hold the socket until the client gives it up.
+            let _ = read_frame(&mut stream);
+        });
+        let err = client.get_versioned(Key(1)).unwrap_err();
+        assert!(
+            err.to_string().contains("answers request 8, not 1"),
+            "{err}"
+        );
+        assert!(client.failed);
+        assert!(client.get(Key(1)).is_err());
+        server.join().unwrap();
     }
 }

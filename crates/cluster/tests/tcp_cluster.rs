@@ -38,32 +38,41 @@ fn spawn_tcp_cluster_full(
     broadcast: bool,
     placement: Option<ShardMap>,
 ) -> (Vec<TcpNode>, Vec<SocketAddr>) {
-    let peers = free_addrs(n);
-    let clients = free_addrs(n);
-    let nodes: Vec<TcpNode> = (0..n)
-        .map(|i| {
-            TcpNode::serve(TcpNodeConfig {
-                node: NodeId(i as u16),
-                model,
-                peers: peers.clone(),
-                client_addr: clients[i],
-                persist_ns_per_kb: 1295,
-                batching,
-                broadcast,
-                trace_out: None,
-                metrics_out: None,
-                metrics_interval: Duration::from_secs(1),
-                chaos: None,
-                fault: None,
-                placement: placement.clone(),
-                nvm_log: None,
-                rejoin_donor: None,
+    // A probed port can be taken before it is bound — as the ephemeral
+    // end of a connection a parallel test opens — so a failed bind
+    // retries the whole cluster on fresh ports.
+    for _ in 0..8 {
+        let peers = free_addrs(n);
+        let clients = free_addrs(n);
+        let nodes: Vec<TcpNode> = (0..n)
+            .map_while(|i| {
+                TcpNode::serve(TcpNodeConfig {
+                    node: NodeId(i as u16),
+                    model,
+                    peers: peers.clone(),
+                    client_addr: clients[i],
+                    persist_ns_per_kb: 1295,
+                    batching,
+                    broadcast,
+                    trace_out: None,
+                    metrics_out: None,
+                    metrics_interval: Duration::from_secs(1),
+                    chaos: None,
+                    fault: None,
+                    placement: placement.clone(),
+                    nvm_log: None,
+                    rejoin_donor: None,
+                })
+                .ok()
             })
-            .expect("bind node")
-        })
-        .collect();
-    let client_addrs = nodes.iter().map(TcpNode::client_addr).collect();
-    (nodes, client_addrs)
+            .collect();
+        if nodes.len() == n {
+            let client_addrs = nodes.iter().map(TcpNode::client_addr).collect();
+            return (nodes, client_addrs);
+        }
+        nodes.into_iter().for_each(TcpNode::shutdown);
+    }
+    panic!("could not bind a TCP cluster in 8 attempts");
 }
 
 #[test]

@@ -179,43 +179,13 @@ pub fn run_with_clients(
     seed: u64,
     clients_per_node: usize,
 ) -> RunResult {
-    run_placed(arch, cfg, model, spec, seed, clients_per_node, None)
-}
-
-/// The closed-loop run on the simulation `arch` selects.
-fn run_placed(
-    arch: Arch,
-    cfg: &SimConfig,
-    model: DdpModel,
-    spec: &WorkloadSpec,
-    seed: u64,
-    clients_per_node: usize,
-    placement: Option<&ShardMap>,
-) -> RunResult {
     if arch.offload {
-        let mut sim = build::<Offload>(arch, cfg, model, placement);
+        let mut sim = build::<Offload>(arch, cfg, model, None);
         run_on(&mut sim, arch, cfg, model, spec, seed, clients_per_node)
     } else {
-        let mut sim = build::<Baseline>(arch, cfg, model, placement);
+        let mut sim = build::<Baseline>(arch, cfg, model, None);
         run_on(&mut sim, arch, cfg, model, spec, seed, clients_per_node)
     }
-}
-
-/// [`run_with_clients`] on a sharded cluster: one simulation hosts every
-/// shard group of `map` (which must span `cfg.nodes` nodes), clients
-/// submit at their own node, and the routing layer forwards each op to
-/// its key's replica group, charging the cross-shard hop both ways.
-#[must_use]
-pub fn run_sharded(
-    arch: Arch,
-    cfg: &SimConfig,
-    model: DdpModel,
-    spec: &WorkloadSpec,
-    seed: u64,
-    clients_per_node: usize,
-    map: &ShardMap,
-) -> RunResult {
-    run_placed(arch, cfg, model, spec, seed, clients_per_node, Some(map))
 }
 
 /// MINOS-B with the RDLock-snatching optimization of §III-A disabled —
@@ -293,7 +263,10 @@ pub fn run_observed(
     )
 }
 
-/// [`run_observed`] on a sharded cluster (see [`run_sharded`]).
+/// [`run_observed`] on a sharded cluster: one simulation hosts every
+/// shard group of `map` (which must span `cfg.nodes` nodes), clients
+/// submit at their own node, and the routing layer forwards each op to
+/// its key's replica group, charging the cross-shard hop both ways.
 #[allow(clippy::too_many_arguments)]
 #[must_use]
 pub fn run_observed_sharded(

@@ -50,9 +50,9 @@ mod timing;
 pub use arch::Arch;
 pub use driver::{
     run_observed, run_observed_sharded, run_open_loop, run_open_loop_sharded,
-    run_open_loop_sharded_traced, run_rolling_restart, run_sharded, run_slo_curve,
-    run_with_clients, AvailabilityRun, CompletionKind, CompletionRec, ObservedRun, OpenLoopResult,
-    ParMode, RunResult, ShardedOpenLoop,
+    run_open_loop_sharded_traced, run_rolling_restart, run_slo_curve, run_with_clients,
+    AvailabilityRun, CompletionKind, CompletionRec, ObservedRun, OpenLoopResult, ParMode,
+    RunResult, ShardedOpenLoop,
 };
 pub use sim::{BSim, CostModel, OSim, Sim};
 pub use timing::{catchup_ns, meta_cost};

@@ -33,6 +33,9 @@ pub enum MinosError {
     UnknownScope(u32),
     /// The cluster runtime shut down before the operation completed.
     Shutdown,
+    /// The operation's coordinator stayed silent past the runtime's
+    /// client timeout. The op may or may not have taken effect.
+    TimedOut(NodeId),
     /// A membership transition or cutover was rejected (rejoin of a
     /// serving node, second crash mid-catch-up, stale placement epoch…).
     Membership(String),
@@ -51,6 +54,7 @@ impl fmt::Display for MinosError {
             MinosError::NodeFailed(n) => write!(f, "node {n} has failed"),
             MinosError::UnknownScope(sc) => write!(f, "unknown scope sc{sc}"),
             MinosError::Shutdown => write!(f, "cluster is shutting down"),
+            MinosError::TimedOut(n) => write!(f, "node {n} did not answer in time"),
             MinosError::Membership(why) => write!(f, "membership violation: {why}"),
         }
     }
