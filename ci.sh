@@ -59,7 +59,7 @@ cargo fmt --all -- --check
 echo "==> cargo clippy (-D warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> structure: one handler stack, one action sink and one torture driver for both live runtimes"
+echo "==> structure: one handler stack, one action sink, one torture driver and one trace model"
 # The threaded and TCP runtimes share `NodeCore` (crates/cluster/src/node.rs):
 # a second copy of the dispatch stack or of the sink is the twin growing back.
 for pat in 'Batched::new(' 'ChaosNet::new(' 'impl.* ActionSink for '; do
@@ -75,6 +75,20 @@ for pat in 'match roll(' 'thread::scope('; do
     n=$(grep -c "$pat" crates/check/src/torture.rs || true)
     if [ "$n" -gt 1 ]; then
         echo "crates/check/src/torture.rs has $n x '$pat' (at most 1 allowed): extend Target/Client instead" >&2
+        exit 1
+    fi
+done
+
+# And the trace model: `obs::replay` holds the one op record (`Timeline`)
+# and the one Fig-4 tiler (`tile`), and JSONL is read through `obs::json`
+# next to its writer. A second record, a field scraper or a second tiling
+# loop is the analyser twin growing back.
+for check in 'struct OpTrace:0' 'fn raw_field:0' 'map_or(end_ns:1'; do
+    pat=${check%:*}
+    max=${check##*:}
+    n=$(cat crates/core/src/obs/*.rs | grep -c "$pat" || true)
+    if [ "$n" -gt "$max" ]; then
+        echo "crates/core/src/obs has $n x '$pat' (at most $max allowed): extend Timeline/tile/obs::json instead" >&2
         exit 1
     fi
 done

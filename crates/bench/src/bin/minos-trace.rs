@@ -9,9 +9,16 @@
 //! The input is whatever a [`minos_core::obs::JsonlWriter`] sink wrote —
 //! from the threaded cluster (`Cluster::spawn_observed`), a TCP node
 //! (`minos-noded --trace-out`), or the simulators. Multiple files (one
-//! per node process) are merged before analysis. `--ops N` caps how many
-//! individual op timelines are printed (default 10); the aggregate
-//! breakdown always covers every completed op.
+//! per node process) are merged before analysis; a torn last line (a
+//! node killed mid-write) is skipped. `--ops N` caps how many individual
+//! op timelines are printed (default 10); the aggregate breakdown always
+//! covers every completed op.
+//!
+//! Every mode renders the same per-op [`Timeline`](minos_core::obs::Timeline)s
+//! tiled by the same Fig. 4 tiler; the default report and `--perfetto`
+//! pick each op's records *by request*, `--assemble` and `--stats` *by
+//! trace*. `DESIGN.md` §4.4 defines the tiling and both rules, and
+//! records where they disagree.
 //!
 //! `--perfetto <out.json>` additionally converts the merged trace to
 //! Chrome Trace Format JSON — per-op spans with nested Fig. 4
@@ -33,9 +40,8 @@
 //!   causally ordered after correction (corrected send ≤ corrected
 //!   receive) — the CI gate for the tracing pipeline.
 
-use minos_core::obs::analyze;
 use minos_core::obs::{
-    assemble, format_assembly, format_hop_stats, format_report, parse_jsonl, perfetto,
+    analyze, assemble, format_assembly, format_hop_stats, format_report, parse_jsonl, perfetto,
 };
 
 fn usage() -> ! {

@@ -453,12 +453,7 @@ fn loopback_point(p: PersistencyModel, offload: bool, quick: bool) -> BenchPoint
     let records = ring.lock().expect("ring poisoned").to_vec();
     let last_tick = records.last().map_or(0, |r| r.at_ns);
     let ops_traced = analyze(&records);
-    let mut breakdown = [0u64; 4];
-    for op in &ops_traced {
-        for (i, v) in op.breakdown().iter().enumerate() {
-            breakdown[i] += v;
-        }
-    }
+    let breakdown = Category::totals(ops_traced.iter().flat_map(|o| &o.segments));
     let hists = hists.lock().expect("hists poisoned").clone();
     BenchPoint {
         id: format!(
@@ -1132,6 +1127,17 @@ mod tests {
         assert_eq!(parsed.version, SCHEMA_VERSION);
         assert!(parsed.quick);
         assert_eq!(parsed.points, pts);
+    }
+
+    /// The committed baseline reads back into points that render to the
+    /// same bytes: the reader loses nothing, and no integer in it is
+    /// rounded through an `f64`.
+    #[test]
+    fn committed_baseline_round_trips() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_baseline.json");
+        let text = std::fs::read_to_string(path).expect("read BENCH_baseline.json");
+        let parsed = parse_results(&text).expect("parse BENCH_baseline.json");
+        assert_eq!(render_json(&parsed.points, parsed.quick), text);
     }
 
     /// The open-loop acceptance gate: the B curve's p99 must bend

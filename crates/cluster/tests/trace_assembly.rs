@@ -128,8 +128,8 @@ fn three_process_shards_assemble_into_causal_timelines() {
         // Fig. 4 segments tile [admit, complete] exactly.
         let tiled: u64 = t.segments.iter().map(|&(_, ns)| ns).sum();
         assert_eq!(
-            i64::try_from(tiled).unwrap(),
-            t.total_ns().unwrap(),
+            tiled,
+            t.total_ns(),
             "segments do not tile [admit, complete] for trace {:#x}",
             t.trace_id
         );

@@ -1,12 +1,15 @@
 //! A minimal recursive-descent JSON parser.
 //!
-//! The workspace vendors no `serde_json`, yet two consumers need to
-//! *read* JSON back: `minos-bench --compare` (re-loading a
-//! `BENCH_results.json` baseline) and the Perfetto-export tests
-//! (validating that `minos-trace --perfetto` emits well-formed Chrome
-//! Trace JSON). This parser covers the full JSON grammar — objects,
-//! arrays, strings with escapes, numbers, booleans, null — with no
-//! serde machinery; writers in this repo hand-format their output.
+//! The workspace vendors no `serde_json`, yet three consumers need to
+//! *read* JSON back: the JSONL trace reader
+//! ([`parse_jsonl`](super::sinks::parse_jsonl), behind `minos-trace`),
+//! `minos-bench --compare` (re-loading a `BENCH_results.json` baseline)
+//! and the Perfetto-export tests (validating that `minos-trace
+//! --perfetto` emits well-formed Chrome Trace JSON). This parser covers
+//! the full JSON grammar — objects, arrays, strings with escapes,
+//! numbers, booleans, null — with no serde machinery; writers in this
+//! repo hand-format their output. Integer literals stay exact: trace and
+//! span ids use all 64 bits, past what an `f64` holds.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -18,7 +21,9 @@ pub enum Json {
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any JSON number (always carried as `f64`).
+    /// An integer literal in `0..=u64::MAX`, kept exact.
+    U64(u64),
+    /// Any other JSON number.
     Num(f64),
     /// A string, unescaped.
     Str(String),
@@ -76,17 +81,30 @@ impl Json {
     #[must_use]
     pub fn as_f64(&self) -> Option<f64> {
         match self {
+            Json::U64(n) => Some(*n as f64),
             Json::Num(n) => Some(*n),
             _ => None,
         }
     }
 
-    /// The number truncated to `u64`; `None` on non-numbers or
-    /// out-of-range values.
+    /// The number as a `u64` — exact for integer literals, truncated for
+    /// fractional ones; `None` on non-numbers or values outside
+    /// `0..=u64::MAX`.
     #[must_use]
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Json::Num(n) if *n >= 0.0 && *n <= u64::MAX as f64 => Some(*n as u64),
+            Json::U64(n) => Some(*n),
+            // `u64::MAX as f64` rounds up to 2^64, itself out of range.
+            Json::Num(n) if *n >= 0.0 && *n < u64::MAX as f64 => Some(*n as u64),
+            _ => None,
+        }
+    }
+
+    /// The boolean value; `None` on non-booleans.
+    #[must_use]
+    pub fn as_bool(&self) -> Option<bool> {
+        match self {
+            Json::Bool(b) => Some(*b),
             _ => None,
         }
     }
@@ -327,6 +345,9 @@ impl<'a> Parser<'a> {
         }
         let s = std::str::from_utf8(&self.bytes[start..self.pos])
             .map_err(|_| self.err("invalid number"))?;
+        if let Ok(n) = s.parse::<u64>() {
+            return Ok(Json::U64(n));
+        }
         s.parse::<f64>()
             .map(Json::Num)
             .map_err(|_| self.err("invalid number"))
@@ -368,7 +389,7 @@ mod tests {
         assert_eq!(Json::parse("null").unwrap(), Json::Null);
         assert_eq!(Json::parse("true").unwrap(), Json::Bool(true));
         assert_eq!(Json::parse(" false ").unwrap(), Json::Bool(false));
-        assert_eq!(Json::parse("42").unwrap(), Json::Num(42.0));
+        assert_eq!(Json::parse("42").unwrap(), Json::U64(42));
         assert_eq!(Json::parse("-1.5e3").unwrap(), Json::Num(-1500.0));
         assert_eq!(
             Json::parse("\"hi\\nthere\"").unwrap(),
@@ -421,5 +442,28 @@ mod tests {
         assert_eq!(Json::parse("7").unwrap().as_u64(), Some(7));
         assert_eq!(Json::parse("-7").unwrap().as_u64(), None);
         assert_eq!(Json::parse("\"7\"").unwrap().as_u64(), None);
+        assert_eq!(Json::parse("18446744073709551616").unwrap().as_u64(), None);
+        assert_eq!(
+            Json::parse("18446744073709551615").unwrap().as_u64(),
+            Some(u64::MAX)
+        );
+        assert_eq!(Json::parse("7.9").unwrap().as_u64(), Some(7));
+        assert_eq!(Json::parse("7").unwrap().as_f64(), Some(7.0));
+    }
+
+    /// Trace and span ids are `(node + 1) << 48 | seq`; above 2^53 an
+    /// `f64` rounds them to a neighbour.
+    #[test]
+    fn integers_above_2_pow_53_read_exactly() {
+        let id = (64u64 << 48) | 7;
+        assert_eq!(id, 18_014_398_509_481_991);
+        let v = Json::parse(&format!("{{\"tid\":{id}}}")).unwrap();
+        assert_eq!(v.get("tid").and_then(Json::as_u64), Some(id));
+    }
+
+    #[test]
+    fn bool_accessor() {
+        assert_eq!(Json::parse("true").unwrap().as_bool(), Some(true));
+        assert_eq!(Json::parse("1").unwrap().as_bool(), None);
     }
 }

@@ -26,7 +26,7 @@
 //!
 //! The [`replay`] module turns a recorded trace back into per-op
 //! timelines whose category totals reproduce the paper's Fig. 4 latency
-//! breakdown; see `DESIGN.md` §4 for the taxonomy-to-figure mapping.
+//! breakdown; see `DESIGN.md` §4.4 for the taxonomy-to-figure mapping.
 //! [`perfetto`] renders the same stream as Chrome Trace Format JSON for
 //! visual inspection, and [`gauge`] adds the *resource* side of the
 //! story: sampled vFIFO/dFIFO occupancy, queue depths, PCIe bytes,
@@ -34,7 +34,6 @@
 //! high-water marks, exported next to the histograms in the Prometheus
 //! dump and summarized in `BENCH_results.json`.
 
-pub mod assemble;
 pub mod gauge;
 pub mod hist;
 pub mod json;
@@ -42,16 +41,16 @@ pub mod perfetto;
 pub mod replay;
 pub mod sinks;
 
-pub use assemble::{
-    assemble, format_assembly, format_hop_stats, Assembly, ClockFit, Hop, Timeline,
-};
 pub use gauge::{
     shared_gauges, Gauge, GaugeKind, GaugeSet, SharedGauges, GAUGE_NODE_ALL, GAUGE_SHARD_ALL,
 };
 pub use hist::{HistogramSet, LatencyHistogram, OpKind};
 pub use json::Json;
-pub use replay::{analyze, format_report, parse_jsonl, Category, OpTrace};
-pub use sinks::{JsonlWriter, MetricsSink, RingRecorder};
+pub use replay::{
+    analyze, assemble, format_assembly, format_hop_stats, format_report, Assembly, Category,
+    ClockFit, Hop, Timeline,
+};
+pub use sinks::{parse_jsonl, JsonlWriter, MetricsSink, RingRecorder};
 
 use crate::event::{Action, Event, ReqId};
 use crate::offload::{OAction, OEvent, Side};

@@ -16,7 +16,7 @@
 //! doubles with 1 ns resolution (three decimals).
 
 use super::json::escape;
-use super::replay::{analyze, OpTrace};
+use super::replay::{analyze, Timeline};
 use super::{TraceEvent, TraceRecord};
 use minos_types::ShardMap;
 use std::fmt::Write as _;
@@ -85,7 +85,7 @@ fn push_event(out: &mut String, body: &str) {
     out.push_str(body);
 }
 
-fn op_slice_name(op: &OpTrace) -> String {
+fn op_slice_name(op: &Timeline) -> String {
     let mut name = op.op.label().to_string();
     if let Some(k) = op.key {
         let _ = write!(name, " k{}", k.0);
@@ -154,26 +154,28 @@ fn render(records: &[TraceRecord], layout: &Layout<'_>) -> String {
     }
 
     // Per-op spans with nested critical-path slices. Lane = req id + 1
-    // (so the shared NET_LANE stays free).
+    // (so the shared NET_LANE stays free). `analyze` works on the one
+    // clock, so an op's window is its raw timestamps.
     for op in &ops {
-        let pid = layout.pid(op.node.0);
-        let tid = layout.tid(op.node.0, op.req.0 + 1);
+        let pid = layout.pid(op.coordinator.0);
+        let tid = layout.tid(op.coordinator.0, op.req.0 + 1);
+        let start_ns = op.admit_ns.unsigned_abs();
         push_event(
             &mut ev,
             &format!(
                 r#"{{"ph":"M","pid":{pid},"tid":{tid},"name":"thread_name","args":{{"name":"{}"}}}}"#,
-                escape(&layout.lane_name(op.node.0, &format!("req {}", op.req.0))),
+                escape(&layout.lane_name(op.coordinator.0, &format!("req {}", op.req.0))),
             ),
         );
         push_event(
             &mut ev,
             &format!(
                 r#"{{"ph":"B","pid":{pid},"tid":{tid},"ts":{},"name":"{}","cat":"op"}}"#,
-                us(op.start_ns),
+                us(start_ns),
                 escape(&op_slice_name(op)),
             ),
         );
-        let mut cursor = op.start_ns;
+        let mut cursor = start_ns;
         for &(cat, dur) in &op.segments {
             if dur > 0 {
                 push_event(
@@ -198,7 +200,7 @@ fn render(records: &[TraceRecord], layout: &Layout<'_>) -> String {
             &mut ev,
             &format!(
                 r#"{{"ph":"E","pid":{pid},"tid":{tid},"ts":{}}}"#,
-                us(op.end_ns),
+                us(start_ns + op.total_ns()),
             ),
         );
     }
@@ -218,9 +220,9 @@ fn render(records: &[TraceRecord], layout: &Layout<'_>) -> String {
         };
         // The op span this fan-out happened inside, for slice binding.
         let Some(op) = ops.iter().find(|o| {
-            o.node == rec.node
-                && o.start_ns <= rec.at_ns
-                && rec.at_ns <= o.end_ns
+            let start_ns = o.admit_ns.unsigned_abs();
+            o.coordinator == rec.node
+                && (start_ns..=start_ns + o.total_ns()).contains(&rec.at_ns)
                 && (o.key == *key || key.is_none())
         }) else {
             continue;

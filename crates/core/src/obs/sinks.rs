@@ -1,10 +1,13 @@
-//! The built-in trace sinks: in-memory ring, JSONL writer, histogram
-//! feeder.
+//! The built-in trace sinks — in-memory ring, JSONL writer, histogram
+//! feeder — and the JSONL reader: [`encode_json`] and [`parse_jsonl`]
+//! are the one place the trace interchange format is defined.
 
 use super::hist::{HistogramSet, OpKind};
-use super::{TraceEvent, TraceRecord, TraceSink};
+use super::json::Json;
+use super::{TraceEvent, TraceMeta, TraceRecord, TraceSink};
+use crate::event::ReqId;
 use crate::offload::Side;
-use minos_types::{MessageKind, PersistencyModel};
+use minos_types::{Key, MessageKind, NodeId, PersistencyModel, ScopeId, Ts};
 use std::collections::{HashMap, VecDeque};
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
@@ -144,7 +147,7 @@ pub fn kind_from_label(s: &str) -> Option<MessageKind> {
 /// Encodes one record as a flat, single-line JSON object — the JSONL
 /// interchange format `minos-trace` replays. No external serializer is
 /// in the approved dependency set, so the (trivially flat) codec lives
-/// here; [`super::replay::parse_jsonl`] is its inverse.
+/// here; [`parse_jsonl_line`] is its inverse.
 #[must_use]
 pub fn encode_json(rec: &TraceRecord) -> String {
     use std::fmt::Write as _;
@@ -243,6 +246,98 @@ pub fn encode_json(rec: &TraceRecord) -> String {
     }
     s.push('}');
     s
+}
+
+/// Parses one JSONL line back into a [`TraceRecord`] — the inverse of
+/// [`encode_json`]. Returns `None` for a line that is not one whole JSON
+/// object (blank, or torn by a process killed mid-write) and for records
+/// this reader does not understand, so replay tolerates both.
+#[must_use]
+pub fn parse_jsonl_line(line: &str) -> Option<TraceRecord> {
+    let v = Json::parse(line).ok()?;
+    let num = |k: &str| v.get(k).and_then(Json::as_u64);
+    let text = |k: &str| v.get(k).and_then(Json::as_str);
+    let flag = |k: &str| v.get(k).and_then(Json::as_bool);
+    let node = |k: &str| u16::try_from(num(k)?).ok().map(NodeId);
+    let small = |k: &str| u32::try_from(num(k)?).ok();
+    let key = || num("key").map(Key);
+    let kind = || kind_from_label(text("kind")?);
+    let op = || OpKind::from_label(text("op")?);
+    let req = || num("req").map(ReqId);
+    let event = match text("ev")? {
+        "op_admitted" => TraceEvent::OpAdmitted {
+            op: op()?,
+            req: req()?,
+            key: key(),
+            scope: small("scope").map(ScopeId),
+        },
+        "write_started" => TraceEvent::WriteStarted { key: key()? },
+        "msg_received" => TraceEvent::MsgReceived {
+            from: node("from")?,
+            kind: kind()?,
+            key: key(),
+        },
+        "msg_sent" => TraceEvent::MsgSent {
+            to: node("to")?,
+            kind: kind()?,
+            key: key(),
+        },
+        "fan_out" => TraceEvent::FanOut {
+            dests: small("dests")?,
+            kind: kind()?,
+            key: key(),
+        },
+        "persist_started" => TraceEvent::PersistStarted {
+            key: key()?,
+            background: flag("background")?,
+        },
+        "persist_completed" => TraceEvent::PersistCompleted { key: key()? },
+        "batch_flushed" => TraceEvent::BatchFlushed {
+            sends: small("sends")?,
+        },
+        "op_completed" => TraceEvent::OpCompleted {
+            op: op()?,
+            req: req()?,
+            key: key(),
+            obsolete: flag("obsolete")?,
+            ts: node("ts_node")
+                .zip(small("ts_v"))
+                .map(|(n, v)| Ts::new(n, v)),
+        },
+        "pcie_crossing" => TraceEvent::PcieCrossing {
+            from: side_from_label(text("from")?)?,
+        },
+        "fifo_enqueued" => TraceEvent::FifoEnqueued {
+            durable: flag("durable")?,
+            key: key()?,
+        },
+        "fifo_drained" => TraceEvent::FifoDrained {
+            durable: flag("durable")?,
+            key: key()?,
+        },
+        "coherence_transfer" => TraceEvent::CoherenceTransfer { key: key()? },
+        _ => return None,
+    };
+    Some(TraceRecord {
+        at_ns: num("at_ns")?,
+        node: node("node")?,
+        event,
+        // Tracing identity fields are optional (absent = zero), so traces
+        // written before distributed tracing still parse.
+        meta: TraceMeta {
+            trace_id: num("tid").unwrap_or(0),
+            span: num("span").unwrap_or(0),
+            parent: num("parent").unwrap_or(0),
+            remote_ns: num("rns").unwrap_or(0),
+        },
+    })
+}
+
+/// Parses a whole JSONL trace, skipping lines [`parse_jsonl_line`]
+/// rejects.
+#[must_use]
+pub fn parse_jsonl(text: &str) -> Vec<TraceRecord> {
+    text.lines().filter_map(parse_jsonl_line).collect()
 }
 
 /// A sink writing one JSON object per record to any [`Write`] target.
@@ -351,8 +446,6 @@ impl TraceSink for MetricsSink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::ReqId;
-    use minos_types::{Key, NodeId};
 
     fn rec(at_ns: u64, event: TraceEvent) -> TraceRecord {
         TraceRecord {
@@ -360,6 +453,115 @@ mod tests {
             node: NodeId(0),
             event,
             meta: crate::obs::TraceMeta::default(),
+        }
+    }
+
+    /// Ids as node 63 mints them (`(63 + 1) << 48 | seq`, past 2^53 —
+    /// where an `f64` reader rounds) and a sender clock just as wide.
+    fn node63_meta(seq: u64) -> TraceMeta {
+        let id = |n: u64| (64u64 << 48) | n;
+        TraceMeta {
+            trace_id: id(3 * seq + 7),
+            span: id(3 * seq + 8),
+            parent: id(3 * seq + 9),
+            remote_ns: (1u64 << 60) | seq,
+        }
+    }
+
+    #[test]
+    fn jsonl_roundtrips_every_variant() {
+        let probes = vec![
+            rec(
+                1,
+                TraceEvent::OpAdmitted {
+                    op: OpKind::PersistScope,
+                    req: ReqId(9),
+                    key: None,
+                    scope: Some(ScopeId(3)),
+                },
+            ),
+            rec(2, TraceEvent::WriteStarted { key: Key(4) }),
+            rec(
+                3,
+                TraceEvent::MsgSent {
+                    to: NodeId(2),
+                    kind: MessageKind::ValP,
+                    key: Some(Key(4)),
+                },
+            ),
+            rec(
+                4,
+                TraceEvent::MsgReceived {
+                    from: NodeId(0),
+                    kind: MessageKind::PersistAckP,
+                    key: None,
+                },
+            ),
+            rec(
+                5,
+                TraceEvent::FanOut {
+                    dests: 4,
+                    kind: MessageKind::Inv,
+                    key: Some(Key(1)),
+                },
+            ),
+            rec(
+                6,
+                TraceEvent::PersistStarted {
+                    key: Key(1),
+                    background: true,
+                },
+            ),
+            rec(7, TraceEvent::PersistCompleted { key: Key(1) }),
+            rec(8, TraceEvent::BatchFlushed { sends: 3 }),
+            rec(
+                9,
+                TraceEvent::OpCompleted {
+                    op: OpKind::Write,
+                    req: ReqId(1),
+                    key: Some(Key(1)),
+                    obsolete: true,
+                    ts: Some(Ts::new(NodeId(2), 40)),
+                },
+            ),
+            rec(
+                10,
+                TraceEvent::PcieCrossing {
+                    from: crate::offload::Side::Snic,
+                },
+            ),
+            rec(
+                11,
+                TraceEvent::FifoEnqueued {
+                    durable: true,
+                    key: Key(2),
+                },
+            ),
+            rec(
+                12,
+                TraceEvent::FifoDrained {
+                    durable: false,
+                    key: Key(2),
+                },
+            ),
+            rec(13, TraceEvent::CoherenceTransfer { key: Key(3) }),
+        ];
+        for (seq, mut p) in (0u64..).zip(probes) {
+            p.node = NodeId(63);
+            p.meta = node63_meta(seq);
+            let line = encode_json(&p);
+            let back = parse_jsonl_line(&line).unwrap_or_else(|| panic!("unparsed: {line}"));
+            assert_eq!(back, p, "line: {line}");
+            // A node killed mid-buffer leaves a cut last line: every
+            // strict prefix must be skipped, never misread.
+            for cut in 0..line.len() {
+                assert_eq!(
+                    parse_jsonl_line(&line[..cut]),
+                    None,
+                    "torn: {}",
+                    &line[..cut]
+                );
+            }
         }
     }
 

@@ -333,13 +333,7 @@ fn observed_on<P: CostModel>(
 
     let records = ring.lock().expect("ring poisoned").to_vec();
     let ops = analyze(&records);
-    let mut breakdown = [0u64; 4];
-    for op in &ops {
-        for (i, v) in op.breakdown().iter().enumerate() {
-            breakdown[i] += v;
-        }
-    }
-    debug_assert_eq!(Category::ALL.len(), breakdown.len());
+    let breakdown = Category::totals(ops.iter().flat_map(|o| &o.segments));
     let hists = hists.lock().expect("hists poisoned").clone();
     ObservedRun {
         result,
