@@ -861,9 +861,10 @@ pub fn format_hop_stats(asm: &Assembly, records: &[TraceRecord]) -> String {
 
 #[cfg(test)]
 mod tests {
+    use super::super::sinks::{encode_json, parse_jsonl_line};
     use super::super::TraceMeta;
     use super::*;
-    use minos_types::Ts;
+    use minos_types::{ScopeId, Ts};
     use proptest::prelude::*;
 
     fn rec(at_ns: u64, node: u16, event: TraceEvent) -> TraceRecord {
@@ -872,6 +873,144 @@ mod tests {
             node: NodeId(node),
             event,
             meta: TraceMeta::default(),
+        }
+    }
+
+    #[test]
+    fn meta_fields_roundtrip_through_jsonl() {
+        let mut r = rec(
+            3,
+            1,
+            TraceEvent::MsgReceived {
+                from: NodeId(0),
+                kind: MessageKind::Inv,
+                key: Some(Key(9)),
+            },
+        );
+        r.meta = TraceMeta {
+            trace_id: 77,
+            span: 88,
+            parent: 99,
+            remote_ns: 1234,
+        };
+        let line = encode_json(&r);
+        assert_eq!(parse_jsonl_line(&line), Some(r));
+    }
+
+    /// Ids as node 63 mints them (`(63 + 1) << 48 | seq`, past 2^53 —
+    /// where an `f64` reader rounds) and a sender clock just as wide.
+    fn node63_meta(seq: u64) -> TraceMeta {
+        let id = |n: u64| (64u64 << 48) | n;
+        TraceMeta {
+            trace_id: id(3 * seq + 7),
+            span: id(3 * seq + 8),
+            parent: id(3 * seq + 9),
+            remote_ns: (1u64 << 60) | seq,
+        }
+    }
+
+    #[test]
+    fn jsonl_roundtrips_every_variant() {
+        let probes = vec![
+            rec(
+                1,
+                63,
+                TraceEvent::OpAdmitted {
+                    op: OpKind::PersistScope,
+                    req: ReqId(9),
+                    key: None,
+                    scope: Some(ScopeId(3)),
+                },
+            ),
+            rec(2, 63, TraceEvent::WriteStarted { key: Key(4) }),
+            rec(
+                3,
+                63,
+                TraceEvent::MsgSent {
+                    to: NodeId(2),
+                    kind: MessageKind::ValP,
+                    key: Some(Key(4)),
+                },
+            ),
+            rec(
+                4,
+                63,
+                TraceEvent::MsgReceived {
+                    from: NodeId(0),
+                    kind: MessageKind::PersistAckP,
+                    key: None,
+                },
+            ),
+            rec(
+                5,
+                63,
+                TraceEvent::FanOut {
+                    dests: 4,
+                    kind: MessageKind::Inv,
+                    key: Some(Key(1)),
+                },
+            ),
+            rec(
+                6,
+                63,
+                TraceEvent::PersistStarted {
+                    key: Key(1),
+                    background: true,
+                },
+            ),
+            rec(7, 63, TraceEvent::PersistCompleted { key: Key(1) }),
+            rec(8, 63, TraceEvent::BatchFlushed { sends: 3 }),
+            rec(
+                9,
+                63,
+                TraceEvent::OpCompleted {
+                    op: OpKind::Write,
+                    req: ReqId(1),
+                    key: Some(Key(1)),
+                    obsolete: true,
+                    ts: Some(Ts::new(NodeId(2), 40)),
+                },
+            ),
+            rec(
+                10,
+                63,
+                TraceEvent::PcieCrossing {
+                    from: crate::offload::Side::Snic,
+                },
+            ),
+            rec(
+                11,
+                63,
+                TraceEvent::FifoEnqueued {
+                    durable: true,
+                    key: Key(2),
+                },
+            ),
+            rec(
+                12,
+                63,
+                TraceEvent::FifoDrained {
+                    durable: false,
+                    key: Key(2),
+                },
+            ),
+            rec(13, 63, TraceEvent::CoherenceTransfer { key: Key(3) }),
+        ];
+        for (seq, mut p) in (0u64..).zip(probes) {
+            p.meta = node63_meta(seq);
+            let line = encode_json(&p);
+            let back = parse_jsonl_line(&line).unwrap_or_else(|| panic!("unparsed: {line}"));
+            assert_eq!(back, p, "line: {line}");
+            // A node killed mid-buffer leaves a cut last line: every
+            // strict prefix must be skipped, never misread.
+            for cut in 0..line.len() {
+                assert_eq!(
+                    parse_jsonl_line(&line[..cut]),
+                    None,
+                    "torn: {}",
+                    &line[..cut]
+                );
+            }
         }
     }
 

@@ -456,115 +456,6 @@ mod tests {
         }
     }
 
-    /// Ids as node 63 mints them (`(63 + 1) << 48 | seq`, past 2^53 —
-    /// where an `f64` reader rounds) and a sender clock just as wide.
-    fn node63_meta(seq: u64) -> TraceMeta {
-        let id = |n: u64| (64u64 << 48) | n;
-        TraceMeta {
-            trace_id: id(3 * seq + 7),
-            span: id(3 * seq + 8),
-            parent: id(3 * seq + 9),
-            remote_ns: (1u64 << 60) | seq,
-        }
-    }
-
-    #[test]
-    fn jsonl_roundtrips_every_variant() {
-        let probes = vec![
-            rec(
-                1,
-                TraceEvent::OpAdmitted {
-                    op: OpKind::PersistScope,
-                    req: ReqId(9),
-                    key: None,
-                    scope: Some(ScopeId(3)),
-                },
-            ),
-            rec(2, TraceEvent::WriteStarted { key: Key(4) }),
-            rec(
-                3,
-                TraceEvent::MsgSent {
-                    to: NodeId(2),
-                    kind: MessageKind::ValP,
-                    key: Some(Key(4)),
-                },
-            ),
-            rec(
-                4,
-                TraceEvent::MsgReceived {
-                    from: NodeId(0),
-                    kind: MessageKind::PersistAckP,
-                    key: None,
-                },
-            ),
-            rec(
-                5,
-                TraceEvent::FanOut {
-                    dests: 4,
-                    kind: MessageKind::Inv,
-                    key: Some(Key(1)),
-                },
-            ),
-            rec(
-                6,
-                TraceEvent::PersistStarted {
-                    key: Key(1),
-                    background: true,
-                },
-            ),
-            rec(7, TraceEvent::PersistCompleted { key: Key(1) }),
-            rec(8, TraceEvent::BatchFlushed { sends: 3 }),
-            rec(
-                9,
-                TraceEvent::OpCompleted {
-                    op: OpKind::Write,
-                    req: ReqId(1),
-                    key: Some(Key(1)),
-                    obsolete: true,
-                    ts: Some(Ts::new(NodeId(2), 40)),
-                },
-            ),
-            rec(
-                10,
-                TraceEvent::PcieCrossing {
-                    from: crate::offload::Side::Snic,
-                },
-            ),
-            rec(
-                11,
-                TraceEvent::FifoEnqueued {
-                    durable: true,
-                    key: Key(2),
-                },
-            ),
-            rec(
-                12,
-                TraceEvent::FifoDrained {
-                    durable: false,
-                    key: Key(2),
-                },
-            ),
-            rec(13, TraceEvent::CoherenceTransfer { key: Key(3) }),
-        ];
-        for (seq, mut p) in (0u64..).zip(probes) {
-            p.node = NodeId(63);
-            p.meta = node63_meta(seq);
-            let line = encode_json(&p);
-            let back = parse_jsonl_line(&line).unwrap_or_else(|| panic!("unparsed: {line}"));
-            assert_eq!(back, p, "line: {line}");
-            // A node killed mid-buffer leaves a cut last line: every
-            // strict prefix must be skipped, never misread.
-            for cut in 0..line.len() {
-                assert_eq!(
-                    parse_jsonl_line(&line[..cut]),
-                    None,
-                    "torn: {}",
-                    &line[..cut]
-                );
-            }
-        }
-    }
-
     #[test]
     fn meta_fields_encode_only_when_nonzero() {
         let mut r = rec(5, TraceEvent::BatchFlushed { sends: 1 });
