@@ -59,7 +59,7 @@ cargo fmt --all -- --check
 echo "==> cargo clippy (-D warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> structure: one handler stack, one action sink, one torture driver and one trace model"
+echo "==> structure: one handler stack, one action sink, one torture driver, one-write TCP frames and one trace model"
 # The threaded and TCP runtimes share `NodeCore` (crates/cluster/src/node.rs):
 # a second copy of the dispatch stack or of the sink is the twin growing back.
 for pat in 'Batched::new(' 'ChaosNet::new(' 'impl.* ActionSink for '; do
@@ -75,6 +75,17 @@ for pat in 'match roll(' 'thread::scope('; do
     n=$(grep -c "$pat" crates/check/src/torture.rs || true)
     if [ "$n" -gt 1 ]; then
         echo "crates/check/src/torture.rs has $n x '$pat' (at most 1 allowed): extend Target/Client instead" >&2
+        exit 1
+    fi
+done
+
+# The TCP runtime sends every frame in one write (a two-write frame waits
+# on a delayed ACK) and completes persists on its engine thread, with no
+# timer-thread round trip: neither may grow back.
+for pat in 'TimerWheel' 'Scheduler' 'write_all(&('; do
+    n=$(grep -cF "$pat" crates/cluster/src/tcp.rs || true)
+    if [ "$n" -gt 0 ]; then
+        echo "crates/cluster/src/tcp.rs has $n x '$pat' (none allowed): build frames on new_frame/write_frame and persist through TcpPort::after" >&2
         exit 1
     fi
 done

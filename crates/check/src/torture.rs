@@ -110,7 +110,6 @@ use crate::{linearize, persistency, prepass};
 use minos_cluster::tcp::{TcpClient, TcpNode, TcpNodeConfig};
 use minos_cluster::{Cluster, OP_TIMEOUT};
 use minos_core::obs::{OpKind, SharedSink};
-use minos_nvm::LogEntry;
 use minos_types::{
     ClusterConfig, DdpModel, FaultSpec, Key, MinosError, MsgChaos, NodeId, PersistencyModel,
     ScopeId, ShardMap, Ts, Value,
@@ -403,8 +402,8 @@ trait Target {
     /// Rejoins `node` (which is down): own-log replay, donor catch-up,
     /// readmission at every survivor.
     fn rejoin(&mut self, node: NodeId) -> Result<(), String>;
-    /// `node`'s durable log, in append order.
-    fn durable_log(&mut self, node: NodeId) -> Result<Vec<LogEntry>, String>;
+    /// Which versions `node`'s durable log holds, in append order.
+    fn durable_log(&mut self, node: NodeId) -> Result<Vec<(Key, Ts)>, String>;
     /// Stops the cluster and yields the run's history.
     fn finish(self) -> History;
 }
@@ -719,7 +718,7 @@ fn drive<T: Target>(mut target: T, schedule: &Schedule, opts: &TortureOptions) -
         match target.durable_log(node) {
             Ok(entries) => logs.push(NodeLog {
                 node,
-                entries: entries.iter().map(|e| (e.key, e.ts)).collect(),
+                entries,
                 mode,
             }),
             Err(e) => run.violation(format!("durable-log snapshot of {node} failed: {e}")),
@@ -868,8 +867,9 @@ impl Target for Threaded {
     }
 
     /// Works on a crashed node too: NVM survives.
-    fn durable_log(&mut self, node: NodeId) -> Result<Vec<LogEntry>, String> {
-        self.cluster.durable_log(node).map_err(|e| e.to_string())
+    fn durable_log(&mut self, node: NodeId) -> Result<Vec<(Key, Ts)>, String> {
+        let log = self.cluster.durable_log(node).map_err(|e| e.to_string())?;
+        Ok(log.into_iter().map(|e| (e.key, e.ts)).collect())
     }
 
     /// Dropping the last handle stops the cluster.
@@ -1090,7 +1090,7 @@ impl Target for Tcp {
         Ok(())
     }
 
-    fn durable_log(&mut self, node: NodeId) -> Result<Vec<LogEntry>, String> {
+    fn durable_log(&mut self, node: NodeId) -> Result<Vec<(Key, Ts)>, String> {
         let conn = TcpClient::connect(self.client_addrs[node.0 as usize]);
         let dump = conn.and_then(|mut c| c.dump_durable());
         dump.map_err(|e| e.to_string())
@@ -1296,7 +1296,7 @@ mod tests {
         flaw: Flaw,
         clock: u64,
         store: HashMap<Key, (Ts, Vec<u8>)>,
-        logs: Vec<Vec<LogEntry>>,
+        logs: Vec<Vec<(Key, Ts)>>,
         up: Vec<bool>,
         /// [`Flaw::StaleRejoin`]: what each crashed node held.
         frozen: HashMap<NodeId, HashMap<Key, (Ts, Vec<u8>)>>,
@@ -1329,16 +1329,6 @@ mod tests {
                 ts,
                 obsolete: false,
             });
-        }
-    }
-
-    /// A log entry; the oracles read only its key and timestamp.
-    fn entry(key: Key, ts: Ts) -> LogEntry {
-        LogEntry {
-            lsn: 0,
-            key,
-            ts,
-            value: Value::new(),
         }
     }
 
@@ -1401,7 +1391,7 @@ mod tests {
             f.store.insert(key, (ts, value.to_vec()));
             for n in 0..f.up.len() {
                 if f.up[n] {
-                    f.logs[n].push(entry(key, ts));
+                    f.logs[n].push((key, ts));
                 }
             }
             f.record(node, OpKind::Write, key, call, Some(ts));
@@ -1464,11 +1454,11 @@ mod tests {
             Ok(())
         }
 
-        fn durable_log(&mut self, node: NodeId) -> Result<Vec<LogEntry>, String> {
+        fn durable_log(&mut self, node: NodeId) -> Result<Vec<(Key, Ts)>, String> {
             let f = self.state();
             let mut log = f.logs[node.0 as usize].clone();
             if f.flaw == Flaw::PhantomLog && node == NodeId(0) {
-                log.push(entry(Key(0), Ts::new(NodeId(2), 99)));
+                log.push((Key(0), Ts::new(NodeId(2), 99)));
             }
             Ok(log)
         }

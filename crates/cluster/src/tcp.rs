@@ -30,6 +30,21 @@
 //!   encoding as 4), 6=peer-status ack, 0=error: not a replica of the
 //!   op's key `[UTF-8 reason]` (the op was refused and had no effect;
 //!   [`ShardedTcpClient`] routes so that this never happens)
+//! * **log entries** (statuses 4 and 5): `[u64 lsn][u64 key][u32
+//!   ts_version][u16 ts_node][u32 len][value]`. Op 4 is an audit of which
+//!   versions are durable, so its entries carry `len` = 0 and no value: a
+//!   dump is exactly `4 + 26·n` bytes, however large the values, and
+//!   never outgrows the 64 MiB frame cap. Op 5 ships the values, since a
+//!   rejoining node installs them.
+//!
+//! Every socket — outbound and accepted peer connections, accepted
+//! client connections, [`TcpClient`] — runs with `TCP_NODELAY`, and every
+//! frame leaves in one `write`, its length prefix built into the same
+//! buffer as its body. (A frame split over two writes without
+//! `TCP_NODELAY` makes Nagle's algorithm hold the second until the peer's
+//! delayed ACK: about 44 ms per exchange on Linux loopback.) Readers
+//! decode through one buffered reader per connection, so a frame
+//! usually costs one `read`.
 //!
 //! This module is the home of these formats; the node behind the sockets
 //! — engine, dispatch stack, recovery — is the `NodeCore` it shares with
@@ -37,7 +52,6 @@
 
 use crate::cluster::{Outcome, OP_TIMEOUT};
 use crate::node::{NodeCore, Port};
-use crate::timer::{Scheduler, TimerWheel};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use minos_core::obs::{
     self, GaugeKind, GaugeSet, HistogramSet, JsonlWriter, MetricsSink, TraceClock, Tracer,
@@ -45,16 +59,14 @@ use minos_core::obs::{
 use minos_core::runtime::FrameTransport;
 use minos_core::{Event, ReqId};
 use minos_nvm::{decode_entries, encode_entries, DecodeOutcome, LogEntry};
-use minos_types::wire::{
-    decode_peer_frame_ctx, encode_peer_frame_ctx_into, TraceCtx, CLIENT_CTX_FLAG,
-};
+use minos_types::wire::{append_peer_frame_ctx, decode_peer_frame_ctx, TraceCtx, CLIENT_CTX_FLAG};
 use minos_types::{
     ChaosSpec, ClusterConfig, DdpModel, FaultSpec, Key, Message, NodeId, ScopeId, ShardMap, Ts,
     Value,
 };
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::io::{Read, Write};
+use std::io::{BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -120,9 +132,10 @@ pub struct TcpNodeConfig {
     pub nvm_log: Option<PathBuf>,
     /// Client-protocol address of a rejoin donor (`minos-noded
     /// --rejoin-donor`). When set, the node completes its startup rejoin
-    /// before serving: after replaying its own log it sends the donor a
-    /// per-key version summary and installs the donor's catch-up delta —
-    /// exactly the versions it missed while down. `None` = fresh start.
+    /// before [`TcpNode::serve`] returns: after replaying its own log it
+    /// sends the donor a per-key version summary and installs the donor's
+    /// catch-up delta — exactly the versions it missed while down.
+    /// `None` = fresh start.
     pub rejoin_donor: Option<SocketAddr>,
 }
 
@@ -134,9 +147,14 @@ enum In {
         op: ClientOp,
         ctx: Option<TraceCtx>,
     },
-    /// An event this node scheduled for itself: a deferred dispatch hop,
-    /// or a persist completing after the device latency.
-    Local(Event, Option<TraceCtx>),
+    /// An event this node scheduled for itself: a deferred dispatch hop
+    /// (`due` = `None`), or a persist completing at `due`, once the
+    /// emulated device latency has passed.
+    Local {
+        event: Event,
+        ctx: Option<TraceCtx>,
+        due: Option<Instant>,
+    },
     Shutdown,
 }
 
@@ -195,30 +213,50 @@ pub struct TcpNode {
     peer_conns: Arc<Mutex<Vec<TcpStream>>>,
 }
 
-/// Reads one length-prefixed frame.
-fn read_frame(stream: &mut TcpStream) -> std::io::Result<Vec<u8>> {
+/// The largest frame body a reader accepts.
+const MAX_FRAME: usize = 64 * 1024 * 1024;
+
+/// What [`read_frame`] reserves for a body before any of it has arrived:
+/// a 4-byte prefix alone must not cost [`MAX_FRAME`] bytes of memory.
+const FRAME_RESERVE: usize = 64 * 1024;
+
+/// Reads one length-prefixed frame. The body buffer grows as bytes
+/// arrive, so a declared length is only paid for once it is delivered.
+fn read_frame(r: &mut impl Read) -> std::io::Result<Vec<u8>> {
     let mut len = [0u8; 4];
-    stream.read_exact(&mut len)?;
+    r.read_exact(&mut len)?;
     let n = u32::from_le_bytes(len) as usize;
-    if n > 64 * 1024 * 1024 {
+    if n > MAX_FRAME {
         return Err(std::io::Error::other("frame too large"));
     }
-    let mut body = vec![0u8; n];
-    stream.read_exact(&mut body)?;
+    let mut body = Vec::with_capacity(n.min(FRAME_RESERVE));
+    r.take(n as u64).read_to_end(&mut body)?;
+    if body.len() < n {
+        return Err(std::io::ErrorKind::UnexpectedEof.into());
+    }
     Ok(body)
 }
 
-/// Writes one length-prefixed frame.
-fn write_frame(stream: &mut TcpStream, body: &[u8]) -> std::io::Result<()> {
-    stream.write_all(&(body.len() as u32).to_le_bytes())?;
-    stream.write_all(body)
+/// A frame under construction: its 4-byte length prefix reserved, the
+/// body to be appended behind it.
+fn new_frame() -> Vec<u8> {
+    vec![0; 4]
 }
 
-/// Spawns an acceptor thread handing every inbound connection to
-/// `on_conn`. The loop exits (dropping the listener, freeing the port)
-/// when `stop` is raised and a wake-up connection arrives — so a
-/// shut-down node can be re-served on the same address, which is what a
-/// rejoin after a process "crash" looks like in-process.
+/// Fills in the length prefix of `frame` (begun by [`new_frame`]) and
+/// sends prefix and body in one `write`.
+fn write_frame(stream: &mut TcpStream, frame: &mut [u8]) -> std::io::Result<()> {
+    let len =
+        u32::try_from(frame.len() - 4).map_err(|_| std::io::Error::other("frame too large"))?;
+    frame[..4].copy_from_slice(&len.to_le_bytes());
+    stream.write_all(frame)
+}
+
+/// Spawns an acceptor thread handing every inbound connection, set to
+/// `TCP_NODELAY`, to `on_conn`. The loop exits (dropping the listener,
+/// freeing the port) when `stop` is raised and a wake-up connection
+/// arrives — so a shut-down node can be re-served on the same address,
+/// which is what a rejoin after a process "crash" looks like in-process.
 fn spawn_acceptor(
     name: String,
     listener: TcpListener,
@@ -231,14 +269,17 @@ fn spawn_acceptor(
                 break;
             }
             if let Ok(stream) = stream {
-                on_conn(stream);
+                if stream.set_nodelay(true).is_ok() {
+                    on_conn(stream);
+                }
             }
         }
     })
 }
 
 impl TcpNode {
-    /// Binds the peer and client listeners and spawns the node.
+    /// Binds the peer and client listeners, runs the node's start-up
+    /// (own-log replay, donor catch-up) and spawns its engine thread.
     ///
     /// # Errors
     ///
@@ -259,12 +300,13 @@ impl TcpNode {
             format!("minos-tcp-peer-accept-{}", cfg.node),
             peer_listener,
             Arc::clone(&stop),
-            move |mut stream| {
+            move |stream| {
                 if let Ok(c) = stream.try_clone() {
                     conns.lock().push(c);
                 }
                 let inbox = inbox.clone();
                 std::thread::spawn(move || {
+                    let mut stream = BufReader::new(stream);
                     while let Ok(frame) = read_frame(&mut stream) {
                         let Ok((from, msgs, ctx)) = decode_peer_frame_ctx(&frame) else {
                             break;
@@ -285,13 +327,14 @@ impl TcpNode {
             format!("minos-tcp-client-accept-{}", cfg.node),
             client_listener,
             Arc::clone(&stop),
-            move |mut stream| {
+            move |stream| {
                 let conn = next_conn;
                 next_conn += 1;
                 let Ok(w) = stream.try_clone() else { return };
                 writers.lock().insert(conn, w);
                 let (inbox, writers) = (inbox.clone(), Arc::clone(&writers));
                 std::thread::spawn(move || {
+                    let mut stream = BufReader::new(stream);
                     while let Ok(frame) = read_frame(&mut stream) {
                         let Some((creq, op, ctx)) = parse_client_request(&frame) else {
                             break;
@@ -311,23 +354,24 @@ impl TcpNode {
             },
         )?;
 
-        // Persist-completion timer (single destination: this engine).
-        let wheel = TimerWheel::spawn(vec![tx.clone()]);
         let port = TcpPort {
             node: cfg.node,
             ctx: None,
             peer_addrs: cfg.peers.clone(),
             peers: HashMap::new(),
             log_file: None,
-            scheduler: wheel.scheduler(),
             engine_tx: tx.clone(),
             writers: Arc::clone(&client_writers),
             pending: HashMap::new(),
             frame_buf: Vec::new(),
         };
+        // Start-up completes before `serve` returns, so a caller that
+        // goes on to crash the donor cannot cut a catch-up short. Inputs
+        // arriving meanwhile queue in the inbox.
+        let engine = EngineLoop::start(&cfg, port, rx);
         let engine_thread = std::thread::Builder::new()
             .name(format!("minos-tcp-engine-{}", cfg.node))
-            .spawn(move || EngineLoop::start(&cfg, port, rx).run())?;
+            .spawn(move || engine.run())?;
 
         Ok(TcpNode {
             tx,
@@ -510,7 +554,12 @@ impl EngineLoop {
                         self.dispatch(Event::Message { from, msg }, ctx);
                     }
                 }
-                Ok(In::Local(ev, ctx)) => self.dispatch(ev, ctx),
+                Ok(In::Local { event, ctx, due }) => {
+                    if let Some(due) = due {
+                        wait_until(due);
+                    }
+                    self.dispatch(event, ctx);
+                }
                 Ok(In::Client {
                     conn,
                     creq,
@@ -544,16 +593,16 @@ impl EngineLoop {
         let req = ReqId(self.next_req);
         let ev = match op {
             ClientOp::DumpDurable => {
-                let mut body = reply_head(creq, 4);
-                encode_log_dump(&self.core.durable.entries_since(0), &mut body);
-                return self.port.reply(conn, &body);
+                let mut frame = reply_head(creq, 4);
+                encode_log_dump(&self.core.durable.entries_since(0), false, &mut frame);
+                return self.port.reply(conn, &mut frame);
             }
             ClientOp::Delta { have } => {
                 // Donor side of a rejoin: ship the versions the caller's
                 // summary is missing.
-                let mut body = reply_head(creq, 5);
-                encode_log_dump(&self.core.durable.delta_against(&have), &mut body);
-                return self.port.reply(conn, &body);
+                let mut frame = reply_head(creq, 5);
+                encode_log_dump(&self.core.durable.delta_against(&have), true, &mut frame);
+                return self.port.reply(conn, &mut frame);
             }
             ClientOp::PeerStatus { peer, up } => {
                 if peer != self.port.node {
@@ -565,7 +614,7 @@ impl EngineLoop {
                     self.port.peers.remove(&peer);
                     self.core.view_change(peer, up, &mut self.port);
                 }
-                return self.port.reply(conn, &reply_head(creq, 6));
+                return self.port.reply(conn, &mut reply_head(creq, 6));
             }
             ClientOp::Put { key, scope, value } => Event::ClientWrite {
                 key,
@@ -596,10 +645,26 @@ impl EngineLoop {
     }
 }
 
+/// Waits out what is left of an emulated device latency. The inbox is
+/// FIFO, so by the time the engine reaches a persist completion most or
+/// all of its latency has usually passed; a short remainder is spun,
+/// since a sleep would overshoot it by the OS timer slack.
+fn wait_until(due: Instant) {
+    const SPIN_LIMIT: Duration = Duration::from_micros(100);
+    let left = due.saturating_duration_since(Instant::now());
+    if left > SPIN_LIMIT {
+        std::thread::sleep(left);
+    }
+    while Instant::now() < due {
+        std::hint::spin_loop();
+    }
+}
+
 /// The socket runtime's [`Port`]: peer frames are encoded with the
 /// shared wire codec and written straight to peer sockets, scheduled
-/// events ride the local delay wheel back into the engine inbox,
-/// completions are written back to the client connection.
+/// events go back into the engine's own inbox (a persist completion
+/// stamped with the instant it is due), completions are written back to
+/// the client connection.
 struct TcpPort {
     node: NodeId,
     /// The current dispatch's trace context, carried on every peer frame
@@ -609,12 +674,12 @@ struct TcpPort {
     peers: HashMap<NodeId, TcpStream>,
     /// Open on-disk NVM log (None = memory-only durability emulation).
     log_file: Option<std::fs::File>,
-    scheduler: Scheduler<In>,
     engine_tx: Sender<In>,
     writers: Writers,
     /// Client request bookkeeping: engine ReqId → (conn, creq).
     pending: HashMap<ReqId, (u64, u64)>,
-    /// Peer-frame encode scratch, reused across dispatches.
+    /// Peer-frame encode scratch (length prefix included), reused across
+    /// dispatches.
     frame_buf: Vec<u8>,
 }
 
@@ -624,12 +689,15 @@ impl TcpPort {
     /// a stale connection. An unreachable peer loses the frame, which is
     /// exactly what a crashed node looks like.
     fn send_frame(&mut self, dests: &[NodeId], msgs: &[Message]) {
-        let mut body = std::mem::take(&mut self.frame_buf);
-        encode_peer_frame_ctx_into(self.node, msgs, self.ctx, &mut body);
+        let mut frame = std::mem::take(&mut self.frame_buf);
+        frame.clear();
+        frame.resize(4, 0); // the length prefix, filled in by `write_frame`
+        append_peer_frame_ctx(self.node, msgs, self.ctx, &mut frame);
         for &to in dests {
             for _attempt in 0..2 {
                 if !self.peers.contains_key(&to) {
-                    match TcpStream::connect(self.peer_addrs[to.0 as usize]) {
+                    let addr = self.peer_addrs[to.0 as usize];
+                    match TcpStream::connect(addr).and_then(|s| s.set_nodelay(true).map(|()| s)) {
                         Ok(s) => {
                             self.peers.insert(to, s);
                         }
@@ -637,22 +705,22 @@ impl TcpPort {
                     }
                 }
                 if let Some(s) = self.peers.get_mut(&to) {
-                    if write_frame(s, &body).is_ok() {
+                    if write_frame(s, &mut frame).is_ok() {
                         break;
                     }
                     self.peers.remove(&to); // stale connection: retry
                 }
             }
         }
-        self.frame_buf = body;
+        self.frame_buf = frame;
     }
 
-    /// Writes one reply frame to client connection `conn`, forgetting
-    /// the connection if it is gone.
-    fn reply(&self, conn: u64, body: &[u8]) {
+    /// Writes one reply frame (begun by [`reply_head`]) to client
+    /// connection `conn`, forgetting the connection if it is gone.
+    fn reply(&self, conn: u64, frame: &mut [u8]) {
         let mut writers = self.writers.lock();
         if let Some(s) = writers.get_mut(&conn) {
-            if write_frame(s, body).is_err() {
+            if write_frame(s, frame).is_err() {
                 writers.remove(&conn);
             }
         }
@@ -675,18 +743,17 @@ impl FrameTransport for TcpPort {
 
 impl Port for TcpPort {
     fn after(&mut self, ns: u64, event: Event) {
-        let input = In::Local(event, self.ctx);
-        // No delay needs no wheel: straight into the inbox.
-        if ns == 0 {
-            let _ = self.engine_tx.send(input);
-        } else {
-            self.scheduler.send_after(ns, NodeId(0), input);
-        }
+        let due = (ns > 0).then(|| Instant::now() + Duration::from_nanos(ns));
+        let _ = self.engine_tx.send(In::Local {
+            event,
+            ctx: self.ctx,
+            due,
+        });
     }
 
     fn complete(&mut self, req: ReqId, outcome: Outcome) {
         if let Some((conn, creq)) = self.pending.remove(&req) {
-            self.reply(conn, &encode_reply(creq, &outcome));
+            self.reply(conn, &mut encode_reply(creq, &outcome));
         }
     }
 
@@ -702,9 +769,9 @@ impl Port for TcpPort {
             return;
         };
         if let Some((conn, creq)) = self.pending.remove(&req) {
-            let mut body = reply_head(creq, 0);
-            body.extend_from_slice(format!("not a replica of the key; try {to}").as_bytes());
-            self.reply(conn, &body);
+            let mut frame = reply_head(creq, 0);
+            frame.extend_from_slice(format!("not a replica of the key; try {to}").as_bytes());
+            self.reply(conn, &mut frame);
         }
     }
 
@@ -717,15 +784,17 @@ impl Port for TcpPort {
     }
 }
 
-/// The `[u64 client-req][u8 status]` prefix every reply starts with.
+/// A reply frame begun with the `[u64 client-req][u8 status]` every
+/// reply body starts with.
 fn reply_head(creq: u64, status: u8) -> Vec<u8> {
-    let mut b = creq.to_le_bytes().to_vec();
+    let mut b = new_frame();
+    b.extend_from_slice(&creq.to_le_bytes());
     b.push(status);
     b
 }
 
-/// Encodes the reply to a completed client op (statuses 1–3 of the
-/// module docs).
+/// Encodes the reply frame to a completed client op (statuses 1–3 of
+/// the module docs).
 fn encode_reply(creq: u64, outcome: &Outcome) -> Vec<u8> {
     match outcome {
         Outcome::Write { ts, .. } => {
@@ -849,23 +918,21 @@ fn parse_client_request(frame: &[u8]) -> Option<(u64, ClientOp, Option<TraceCtx>
 }
 
 /// Encodes a durable-log dump: `[u32 count]` then, per entry,
-/// `[u64 lsn][u64 key][u32 ts_version][u16 ts_node][u32 len][value]`.
-fn encode_log_dump(entries: &[LogEntry], body: &mut Vec<u8>) {
+/// `[u64 lsn][u64 key][u32 ts_version][u16 ts_node][u32 len][value]` —
+/// with `len` = 0 and no value bytes unless `values` is set.
+fn encode_log_dump(entries: &[LogEntry], values: bool, body: &mut Vec<u8>) {
     body.extend_from_slice(
         &u32::try_from(entries.len())
             .unwrap_or(u32::MAX)
             .to_le_bytes(),
     );
     for e in entries {
+        let value: &[u8] = if values { &e.value } else { &[] };
         body.extend_from_slice(&e.lsn.to_le_bytes());
         body.extend_from_slice(&e.key.0.to_le_bytes());
         put_ts(body, e.ts);
-        body.extend_from_slice(
-            &u32::try_from(e.value.len())
-                .unwrap_or(u32::MAX)
-                .to_le_bytes(),
-        );
-        body.extend_from_slice(&e.value);
+        body.extend_from_slice(&u32::try_from(value.len()).unwrap_or(u32::MAX).to_le_bytes());
+        body.extend_from_slice(value);
     }
 }
 
@@ -911,6 +978,7 @@ impl TcpClient {
     /// Propagates connection errors.
     pub fn connect(addr: SocketAddr) -> std::io::Result<TcpClient> {
         let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
         stream.set_read_timeout(Some(OP_TIMEOUT))?;
         stream.set_write_timeout(Some(OP_TIMEOUT))?;
         Ok(TcpClient {
@@ -941,16 +1009,17 @@ impl TcpClient {
     fn call(&mut self, op: u8, payload: &[u8]) -> std::io::Result<Vec<u8>> {
         let creq = self.next_req;
         self.next_req += 1;
-        let mut body = vec![op];
-        body.extend_from_slice(&creq.to_le_bytes());
+        let mut frame = new_frame();
+        frame.push(op);
+        frame.extend_from_slice(&creq.to_le_bytes());
         if let Some(ctx) = self.trace_ctx {
             // The context rides between the fixed [op][creq] prefix all
             // requests share and the op's payload.
-            body[0] |= CLIENT_CTX_FLAG;
-            body.extend_from_slice(&ctx.encode());
+            frame[4] |= CLIENT_CTX_FLAG;
+            frame.extend_from_slice(&ctx.encode());
         }
-        body.extend_from_slice(payload);
-        let resp = self.exchange(creq, &body).inspect_err(|_| {
+        frame.extend_from_slice(payload);
+        let resp = self.exchange(creq, &mut frame).inspect_err(|_| {
             self.failed = true;
             let _ = self.stream.shutdown(std::net::Shutdown::Both);
         })?;
@@ -967,8 +1036,8 @@ impl TcpClient {
     }
 
     /// One frame out, one frame in; the reply must be the one to `creq`.
-    fn exchange(&mut self, creq: u64, body: &[u8]) -> std::io::Result<Vec<u8>> {
-        write_frame(&mut self.stream, body)?;
+    fn exchange(&mut self, creq: u64, frame: &mut [u8]) -> std::io::Result<Vec<u8>> {
+        write_frame(&mut self.stream, frame)?;
         let resp = read_frame(&mut self.stream)?;
         if resp.len() < 9 {
             return Err(std::io::Error::other("short response"));
@@ -1024,15 +1093,18 @@ impl TcpClient {
         Ok((resp[15..].to_vec(), ts))
     }
 
-    /// Dumps the connected node's durable log (op 4) — the post-crash
-    /// durability audit surface of the TCP runtime.
+    /// Dumps which versions the connected node's durable log holds, in
+    /// append order (op 4) — the post-crash durability audit surface of
+    /// the TCP runtime.
     ///
     /// # Errors
     ///
     /// Propagates socket errors and malformed responses.
-    pub fn dump_durable(&mut self) -> std::io::Result<Vec<LogEntry>> {
+    pub fn dump_durable(&mut self) -> std::io::Result<Vec<(Key, Ts)>> {
         let resp = self.call(4, &[])?;
-        decode_log_dump(&resp[9..]).ok_or_else(|| std::io::Error::other("malformed log dump"))
+        let entries = decode_log_dump(&resp[9..])
+            .ok_or_else(|| std::io::Error::other("malformed log dump"))?;
+        Ok(entries.into_iter().map(|e| (e.key, e.ts)).collect())
     }
 
     /// Fetches a rejoin catch-up delta (op 5): ships `have` — this
@@ -1173,12 +1245,13 @@ impl ShardedTcpClient {
         Ok(())
     }
 
-    /// Dumps `node`'s durable log (the audit surface, unrouted).
+    /// Dumps which versions `node`'s durable log holds (the audit
+    /// surface, unrouted).
     ///
     /// # Errors
     ///
     /// Propagates socket errors and malformed responses.
-    pub fn dump_durable(&mut self, node: NodeId) -> std::io::Result<Vec<LogEntry>> {
+    pub fn dump_durable(&mut self, node: NodeId) -> std::io::Result<Vec<(Key, Ts)>> {
         self.conn(node)?.dump_durable()
     }
 }
@@ -1236,7 +1309,7 @@ mod tests {
             let creq = u64::from_le_bytes(req[1..9].try_into().unwrap());
             let mut reply = reply_head(creq + 7, 2);
             put_ts(&mut reply, Ts::new(NodeId(0), 1));
-            write_frame(&mut stream, &reply).unwrap();
+            write_frame(&mut stream, &mut reply).unwrap();
             // Hold the socket until the client gives it up.
             let _ = read_frame(&mut stream);
         });
@@ -1248,5 +1321,106 @@ mod tests {
         assert!(client.failed);
         assert!(client.get(Key(1)).is_err());
         server.join().unwrap();
+    }
+
+    #[test]
+    fn client_and_accepted_sockets_run_with_nodelay() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let stop = Arc::new(AtomicBool::new(false));
+        let on_conn = move |s: TcpStream| tx.send(s.nodelay().unwrap()).unwrap();
+        let acceptor =
+            spawn_acceptor("nodelay-test".into(), listener, Arc::clone(&stop), on_conn).unwrap();
+        let client = TcpClient::connect(addr).unwrap();
+        assert!(client.stream.nodelay().unwrap());
+        assert!(rx.recv().unwrap(), "accepted socket without TCP_NODELAY");
+        stop.store(true, Ordering::SeqCst);
+        drop(TcpStream::connect(addr));
+        acceptor.join().unwrap();
+    }
+
+    /// A reader serving `bytes` that remembers the largest buffer it was
+    /// handed to fill.
+    struct Recording<'a> {
+        bytes: &'a [u8],
+        largest_buf: usize,
+    }
+
+    impl Read for Recording<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.largest_buf = self.largest_buf.max(buf.len());
+            self.bytes.read(buf)
+        }
+    }
+
+    #[test]
+    fn read_frame_refuses_a_prefix_over_the_cap() {
+        let mut wire = u32::try_from(MAX_FRAME + 1).unwrap().to_le_bytes().to_vec();
+        wire.extend_from_slice(&[7; 16]);
+        let err = read_frame(&mut wire.as_slice()).unwrap_err();
+        assert_eq!(err.to_string(), "frame too large");
+    }
+
+    #[test]
+    fn read_frame_pays_only_for_bytes_that_arrive() {
+        // A prefix declaring the largest legal frame, then 10 bytes and
+        // EOF: the truncated body is an error, and the buffer never grew
+        // toward the declared 64 MiB.
+        let mut wire = u32::try_from(MAX_FRAME).unwrap().to_le_bytes().to_vec();
+        wire.extend_from_slice(&[7; 10]);
+        let mut r = Recording {
+            bytes: &wire,
+            largest_buf: 0,
+        };
+        let err = read_frame(&mut r).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
+        assert!(r.largest_buf <= FRAME_RESERVE, "{} bytes", r.largest_buf);
+
+        // A whole frame reads back exactly.
+        let mut frame = new_frame();
+        frame.extend_from_slice(b"body");
+        let n = u32::try_from(frame.len() - 4).unwrap();
+        frame[..4].copy_from_slice(&n.to_le_bytes());
+        assert_eq!(read_frame(&mut frame.as_slice()).unwrap(), b"body");
+    }
+
+    #[test]
+    fn durable_dump_is_26_bytes_per_entry_whatever_the_value_size() {
+        let peers = vec!["127.0.0.1:0".parse().unwrap()];
+        let node = TcpNode::serve(TcpNodeConfig {
+            node: NodeId(0),
+            model: DdpModel::lin(minos_types::PersistencyModel::Synchronous),
+            peers,
+            client_addr: "127.0.0.1:0".parse().unwrap(),
+            persist_ns_per_kb: 1295,
+            batching: false,
+            broadcast: false,
+            trace_out: None,
+            metrics_out: None,
+            metrics_interval: Duration::from_secs(1),
+            chaos: None,
+            fault: None,
+            placement: None,
+            nvm_log: None,
+            rejoin_donor: None,
+        })
+        .unwrap();
+        let mut client = TcpClient::connect(node.client_addr()).unwrap();
+        let sizes = [0usize, 1, 1024, 64 * 1024];
+        for (k, &size) in sizes.iter().enumerate() {
+            client.put(Key(k as u64), &vec![b'v'; size], None).unwrap();
+        }
+        let reply = client.call(4, &[]).unwrap();
+        assert_eq!(reply.len() - 9, 4 + 26 * sizes.len());
+        let dumped = client.dump_durable().unwrap();
+        let keys: Vec<Key> = dumped.iter().map(|&(key, _)| key).collect();
+        assert_eq!(keys, (0..sizes.len() as u64).map(Key).collect::<Vec<_>>());
+
+        // The rejoin delta (op 5) still ships the values.
+        let delta = client.fetch_delta(&[]).unwrap();
+        let lens: Vec<usize> = delta.iter().map(|e| e.value.len()).collect();
+        assert_eq!(lens, sizes);
+        node.shutdown();
     }
 }

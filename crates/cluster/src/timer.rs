@@ -1,6 +1,7 @@
 //! The delay wheel: delivers messages to node threads after a wire or
-//! device latency. Generic over the message type so both the in-process
-//! runtime (`NodeMsg`) and the TCP runtime can use it.
+//! device latency. The threaded runtime's (`NodeMsg`); the TCP runtime
+//! has no wire latency to emulate and completes persists on its engine
+//! thread instead.
 //!
 //! One heap entry can carry deliveries to *several* destinations
 //! ([`Scheduler::send_after_many`]): that is the broadcast capability of

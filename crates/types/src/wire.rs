@@ -415,6 +415,18 @@ pub fn encode_peer_frame_ctx_into(
     out: &mut Vec<u8>,
 ) {
     out.clear();
+    append_peer_frame_ctx(from, msgs, ctx, out);
+}
+
+/// [`encode_peer_frame_ctx_into`] without the clear: appends the frame
+/// behind whatever `out` already holds — a socket's length prefix, say,
+/// so that prefix and frame leave in one write with no extra copy.
+pub fn append_peer_frame_ctx(
+    from: NodeId,
+    msgs: &[Message],
+    ctx: Option<TraceCtx>,
+    out: &mut Vec<u8>,
+) {
     let ctx = ctx.filter(|c| !c.is_empty());
     let mut w = Writer(std::mem::take(out));
     w.u16(from.0);
